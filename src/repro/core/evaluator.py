@@ -19,22 +19,27 @@ was given (default: the registered ``dac2020`` reference platform,
 bit-identical to the historical hardwired models — see
 :mod:`repro.hw`).
 
-Memoization is layered: an optional shared persistent
-:class:`repro.parallel.EvalCache` (consulted first, so repeats, worker
-processes, and re-runs warm-start each other) in front of private
-in-memory LRU maps (bounded, so multi-million-point sweeps run in
-constant memory).  Both layers store pure functions of their keys, so
-caching never changes results — only evaluation cost.
+Every pair takes one keyed pipeline: the cell's ``spec_hash``
+(through a bounded content-hash memo), the configuration's key (its
+flat index in a tensorized space, else its ``config_key``), then the
+metrics from the evaluator's one metric source.  Latency comes from the
+bundle latency table when the cell has a row, else from the
+:class:`repro.hw.TensorizedSpace` arrays when ``tensorize`` is set and
+the space is enumerable, else from memoized platform calls.  An
+optional shared persistent :class:`repro.parallel.EvalCache` sits in
+front of the platform source (so repeats, worker processes, and
+re-runs warm-start each other); the tensor source never touches it.
+Every memo is bounded and stores a pure function of its key, so caching
+never changes results — only evaluation cost.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from repro.accelerator.area import AreaModel
 from repro.accelerator.config import AcceleratorConfig
-from repro.accelerator.latency import LatencyModel
 from repro.accelerator.lut import config_key
 from repro.core.metrics import Metrics
 from repro.hw import Dac2020Platform, HardwarePlatform
@@ -61,7 +66,7 @@ __all__ = [
     "DEFAULT_CACHE_CAPACITY",
 ]
 
-#: Default bound on the evaluator's in-memory latency/area memos.
+#: Default bound on each of the evaluator's in-memory memos.
 DEFAULT_CACHE_CAPACITY = 100_000
 
 #: Accuracy source signature: percent accuracy, or ``None`` for
@@ -87,6 +92,30 @@ class EvaluationResult:
         return self.reward.valid
 
 
+class _Memos:
+    """Every memo and precomputed metric array behind an evaluator.
+
+    Clones reference this object instead of copying fields:
+    :meth:`CodesignEvaluator.with_reward` shares it whole, and
+    :meth:`CodesignEvaluator.with_platform` takes :meth:`for_platform`,
+    which keeps only the platform-independent cell memos.
+    """
+
+    def __init__(self, capacity: int, cells: tuple | None = None) -> None:
+        self.capacity = capacity
+        # Pruned-cell content -> spec_hash (the md5 canonicalization
+        # dominates per-point cost) and spec_hash -> accuracy.
+        self.spec_hash, self.accuracy = cells or (LRUCache(capacity), {})
+        self.area = LRUCache(capacity)  # config_key -> mm^2
+        self.latency = LRUCache(capacity)  # (spec_hash, config_key) -> s
+        self.column = LRUCache(capacity)  # config_key -> table column
+        self.table = None  # (latency_ms, row_of_hash, space)
+        self.tensor = None  # TensorizedSpace; False once found too large
+
+    def for_platform(self) -> "_Memos":
+        return _Memos(self.capacity, (self.spec_hash, self.accuracy))
+
+
 class CodesignEvaluator:
     """Memoized ``E(s)`` over a fixed accuracy source and HW platform."""
 
@@ -95,27 +124,13 @@ class CodesignEvaluator:
         accuracy_fn: AccuracyFn,
         reward_config: RewardConfig,
         skeleton: SkeletonConfig = CIFAR10_SKELETON,
-        area_model: AreaModel | None = None,
-        latency_model: LatencyModel | None = None,
         platform: HardwarePlatform | None = None,
         cache_capacity: int = DEFAULT_CACHE_CAPACITY,
         tensorize: bool = False,
     ) -> None:
-        if platform is not None and (
-            area_model is not None or latency_model is not None
-        ):
-            raise ValueError(
-                "pass either 'platform' or the legacy "
-                "area_model/latency_model overrides, not both"
-            )
-        if platform is None:
-            # The legacy model overrides become an anonymous dac2020
-            # variant; with neither given this is the reference
-            # platform, bit-identical to the historic hardwired models.
-            platform = Dac2020Platform(
-                area_model=area_model, latency_model=latency_model
-            )
-        self.platform = platform
+        # No platform means the reference dac2020 platform,
+        # bit-identical to the historic hardwired models.
+        self.platform = platform if platform is not None else Dac2020Platform()
         self.accuracy_fn = accuracy_fn
         self.reward_fn = RewardFunction(reward_config)
         self.skeleton = skeleton
@@ -124,30 +139,17 @@ class CodesignEvaluator:
         # install their own — e.g. the transformer workload's GEMM
         # lowering.  Same (spec, skeleton) signature either way.
         self.compile_fn = compile_cell_ops
-        self._area_cache: LRUCache = LRUCache(cache_capacity)
-        self._latency_cache: LRUCache = LRUCache(cache_capacity)
-        self._accuracy_cache: dict[str, float | None] = {}
-        # Batch-path memos: pruned-cell content -> spec_hash (the md5
-        # canonicalization dominates per-point cost) and config_key ->
-        # latency-table column.  Pure key derivations, shared freely.
-        self._content_hash_memo: dict[tuple, str] = {}
-        self._config_index_memo: dict[tuple, int] = {}
-        self._latency_table = None
+        self._memos = _Memos(cache_capacity)
+        # (spec_hash, flat index) -> (metrics, reward) on the tensor
+        # source.  It folds the reward in, so it is never shared.
+        self._results: LRUCache = LRUCache(cache_capacity)
         self.eval_cache: EvalCache | None = None
         self.cache_scenario = reward_config.name
         self.num_evaluations = 0
-        # Tensorized full-space fast path (see repro.hw.tensorized):
-        # when enabled and the platform's space is enumerable,
-        # evaluate_batch answers from dense per-index arrays plus a
-        # bounded (spec_hash, index) -> result memo, bypassing the
-        # config_key/LRU machinery entirely.  Lazily constructed so
-        # evaluators that never batch pay nothing.
+        # Tensorized full-space metric source (see repro.hw.tensorized),
+        # built lazily on first use when the platform's space is
+        # enumerable, so evaluators that never evaluate pay nothing.
         self.tensorize = bool(tensorize)
-        self._cache_capacity = cache_capacity
-        self._tensor = None
-        self._tensor_unavailable = False
-        self._tensor_results: LRUCache = LRUCache(cache_capacity)
-        self._tensor_hash_memo: LRUCache = LRUCache(cache_capacity)
         # Registered accuracy-source builders stash their side objects
         # here (e.g. the CIFAR-100 trainer behind ``accuracy_fn``), so
         # callers can reach cost ledgers without private plumbing.
@@ -168,23 +170,13 @@ class CodesignEvaluator:
             self.cache_scenario = scenario
         return self
 
-    # --- legacy accessors (the models now live on the platform) -----------
-    @property
-    def area_model(self):
-        return getattr(self.platform, "area_model", None)
-
-    @property
-    def latency_lut(self):
-        return getattr(self.platform, "latency_lut", None)
-
     def attach_latency_table(self, latency_ms, row_of_hash, space) -> None:
         """Serve latencies from a precomputed (cell x config) matrix.
 
         ``latency_ms`` is (num_cells, space.size); ``row_of_hash`` maps
         spec hashes to rows.  Pairs outside the table fall back to the
-        on-the-fly platform query, so attaching a table never changes
-        results — only speed (the batch and scalar paths agree exactly;
-        see ``tests/accelerator/test_scheduler.py``).
+        next metric source, so attaching a table never changes results
+        — only speed (see ``tests/accelerator/test_scheduler.py``).
 
         The table's configuration space must match the active
         platform's ``config_space()`` exactly: a table enumerated over
@@ -212,20 +204,20 @@ class CodesignEvaluator:
                 f"latency table has {latency_ms.shape[1]} columns but the "
                 f"config space enumerates {space.size} configurations"
             )
-        self._latency_table = (latency_ms, dict(row_of_hash), space)
+        self._memos.table = (latency_ms, dict(row_of_hash), space)
 
     def attach_tensorized(self, tensor) -> "CodesignEvaluator":
-        """Serve batches from a prebuilt :class:`TensorizedSpace`.
+        """Serve metrics from a prebuilt :class:`TensorizedSpace`.
 
-        Normally :meth:`evaluate_batch` builds (or reuses the
-        process-wide memo of) the tensor itself when ``tensorize`` is
-        set; attaching explicitly exists for callers that need a
-        specific instance — a custom cache directory in tests, or a
-        tensor shared across evaluators.  The tensor must have been
-        enumerated for this evaluator's platform: matching is by
-        ``cache_namespace()``, the identity that pins every
-        result-affecting parameter, because a tensor from a different
-        platform would silently serve wrong metrics.
+        Normally the evaluator builds (or reuses the process-wide memo
+        of) the tensor itself when ``tensorize`` is set; attaching
+        explicitly exists for callers that need a specific instance —
+        a custom cache directory in tests, or a tensor shared across
+        evaluators.  The tensor must have been enumerated for this
+        evaluator's platform: matching is by ``cache_namespace()``, the
+        identity that pins every result-affecting parameter, because a
+        tensor from a different platform would silently serve wrong
+        metrics.
         """
         if tensor.platform.cache_namespace() != self.platform.cache_namespace():
             raise ValueError(
@@ -234,26 +226,24 @@ class CodesignEvaluator:
                 f"runs {self.platform.cache_namespace()!r} — build the "
                 "tensor from this evaluator's platform"
             )
-        self._tensor = tensor
-        self._tensor_unavailable = False
+        self._memos.tensor = tensor
         self.tensorize = True
         return self
 
-    def _tensorized(self):
-        """The active tensor, or ``None`` when the space is too large."""
-        if self._tensor is not None:
-            return self._tensor
-        if self._tensor_unavailable:
+    def _tensor(self):
+        """The tensor metric source, or ``None`` for platform calls."""
+        if not self.tensorize:
             return None
-        from repro.hw.tensorized import enumerable, tensorized_space
+        memos = self._memos
+        if memos.tensor is None:
+            from repro.hw.tensorized import enumerable, tensorized_space
 
-        if not enumerable(self.platform):
-            # Cache the verdict: falling back must not re-ask the
-            # platform for its space size on every batch.
-            self._tensor_unavailable = True
-            return None
-        self._tensor = tensorized_space(self.platform, self.skeleton)
-        return self._tensor
+            # Cache a "too large" verdict as False: falling back must
+            # not re-ask the platform for its space size on every call.
+            memos.tensor = enumerable(self.platform) and tensorized_space(
+                self.platform, self.skeleton
+            )
+        return memos.tensor or None
 
     # --- constructors -----------------------------------------------------
     @classmethod
@@ -285,52 +275,52 @@ class CodesignEvaluator:
         surrogate = surrogate or Cifar10Surrogate()
         return cls(surrogate.validation_accuracy, reward_config, **kwargs)
 
-    # --- pieces -------------------------------------------------------------
-    def accuracy(self, spec: ModelSpec) -> float | None:
-        if not spec.valid:
-            return None
-        key = spec.spec_hash()
-        if key not in self._accuracy_cache:
-            self._accuracy_cache[key] = self.accuracy_fn(spec)
-        return self._accuracy_cache[key]
+    # --- the keyed pipeline -------------------------------------------------
+    def _spec_hash(self, spec: ModelSpec) -> str:
+        memo = self._memos.spec_hash
+        content = (spec.matrix.tobytes(), tuple(spec.ops))
+        spec_hash = memo.get(content)
+        if spec_hash is None:
+            spec_hash = memo[content] = spec.spec_hash()
+        return spec_hash
 
-    def area_mm2(self, config: AcceleratorConfig) -> float:
-        key = config_key(config)
-        if key not in self._area_cache:
-            self._area_cache[key] = self.platform.area_mm2(config)
-        return self._area_cache[key]
+    def _key(self, spec: ModelSpec, config: AcceleratorConfig, tensor) -> tuple:
+        """``(spec_hash, config key)``: the key every memo is read by.
 
-    def latency_s(self, spec: ModelSpec, config: AcceleratorConfig) -> float:
-        spec_hash = spec.spec_hash()
-        if self._latency_table is not None:
-            latency_ms, row_of_hash, space = self._latency_table
-            row = row_of_hash.get(spec_hash)
-            if row is not None:
-                return float(latency_ms[row, space.index_of(config)]) / 1e3
-        key = (spec_hash, config_key(config))
-        if key not in self._latency_cache:
-            ir = self.compile_fn(spec, self.skeleton)
-            self._latency_cache[key] = self.platform.network_latency_s(ir, config)
-        return self._latency_cache[key]
+        The config key is the flat index on the tensor source and
+        ``config_key(config)`` otherwise.
+        """
+        if tensor is None:
+            return self._spec_hash(spec), config_key(config)
+        return self._spec_hash(spec), tensor.index_of(config)
 
-    def metrics(self, spec: ModelSpec, config: AcceleratorConfig) -> Metrics | None:
-        """Metric vector of a pair, or ``None`` if not evaluable."""
-        if not spec.valid:
-            return None
+    def _result(
+        self, spec, config, key, tensor
+    ) -> tuple[Metrics | None, RewardResult]:
+        """``(metrics, reward)`` of a pair (``key`` None: invalid cell)."""
+        if tensor is None:
+            metrics = self._cached_metrics(spec, config, key)
+            return metrics, self.reward_fn(metrics)
+        found = self._results.get(key)
+        if found is None:
+            metrics = self._metrics(spec, config, key, tensor)
+            found = self._results[key] = (metrics, self.reward_fn(metrics))
+        return found
+
+    def _cached_metrics(self, spec, config, key) -> Metrics | None:
+        """Platform-source metrics behind the persistent eval cache."""
         cache = self.eval_cache
-        if cache is None:
-            return self._compute_metrics(spec, config)
-        cache_key = (self.cache_scenario, spec.spec_hash(), str(config_key(config)))
+        if cache is None or key is None:
+            return self._metrics(spec, config, key, None)
+        cache_key = (self.cache_scenario, key[0], str(key[1]))
         hit = cache.get(*cache_key)
         if hit is not None:
             if hit.accuracy is None:
                 return None
             return Metrics(
-                accuracy=hit.accuracy,
-                latency_s=hit.latency_s,
-                area_mm2=hit.area_mm2,
+                accuracy=hit.accuracy, latency_s=hit.latency_s, area_mm2=hit.area_mm2
             )
-        metrics = self._compute_metrics(spec, config)
+        metrics = self._metrics(spec, config, key, None)
         if metrics is None:
             cache.put(CacheEntry(*cache_key, None, None, None))
         else:
@@ -341,28 +331,88 @@ class CodesignEvaluator:
             )
         return metrics
 
-    def _compute_metrics(
-        self, spec: ModelSpec, config: AcceleratorConfig
-    ) -> Metrics | None:
-        accuracy = self.accuracy(spec)
+    def _metrics(self, spec, config, key, tensor) -> Metrics | None:
+        """Accuracy, then configuration validity, then latency and area."""
+        if key is None:
+            return None
+        accuracy = self._accuracy(spec, key[0])
         if accuracy is None:
             return None
-        if not self.platform.config_valid(config):
+        if tensor is None:
+            if not self.platform.config_valid(config):
+                return None
+        elif not tensor.valid[key[1]]:
             return None
         return Metrics(
             accuracy=accuracy,
-            latency_s=self.latency_s(spec, config),
-            area_mm2=self.area_mm2(config),
+            latency_s=self._latency(spec, config, key, tensor),
+            area_mm2=self._area(config, key[1], tensor),
         )
+
+    def _accuracy(self, spec: ModelSpec, spec_hash: str) -> float | None:
+        accuracies = self._memos.accuracy
+        if spec_hash not in accuracies:
+            accuracies[spec_hash] = self.accuracy_fn(spec)
+        return accuracies[spec_hash]
+
+    def _latency(self, spec, config, key, tensor) -> float:
+        memos = self._memos
+        spec_hash, ckey = key
+        if memos.table is not None:
+            latency_ms, row_of_hash, space = memos.table
+            row = row_of_hash.get(spec_hash)
+            if row is not None:
+                # The table's space is validated against the platform's
+                # at attach time, so a tensor's flat index is its column.
+                column = ckey
+                if tensor is None:
+                    column = memos.column.get(ckey)
+                    if column is None:
+                        column = memos.column[ckey] = space.index_of(config)
+                return float(latency_ms[row, column]) / 1e3
+        if tensor is not None:
+            ir_factory = lambda: self.compile_fn(spec, self.skeleton)  # noqa: E731
+            return float(tensor.latency_row(spec_hash, ir_factory)[ckey])
+        latency = memos.latency.get(key)
+        if latency is None:
+            ir = self.compile_fn(spec, self.skeleton)
+            latency = memos.latency[key] = self.platform.network_latency_s(ir, config)
+        return latency
+
+    def _area(self, config, ckey, tensor) -> float:
+        if tensor is not None:
+            return float(tensor.area_mm2[ckey])
+        areas = self._memos.area
+        area = areas.get(ckey)
+        if area is None:
+            area = areas[ckey] = self.platform.area_mm2(config)
+        return area
+
+    # --- pieces -------------------------------------------------------------
+    def accuracy(self, spec: ModelSpec) -> float | None:
+        if not spec.valid:
+            return None
+        return self._accuracy(spec, self._spec_hash(spec))
+
+    def area_mm2(self, config: AcceleratorConfig) -> float:
+        tensor = self._tensor()
+        ckey = config_key(config) if tensor is None else tensor.index_of(config)
+        return self._area(config, ckey, tensor)
+
+    def latency_s(self, spec: ModelSpec, config: AcceleratorConfig) -> float:
+        tensor = self._tensor()
+        return self._latency(spec, config, self._key(spec, config, tensor), tensor)
+
+    def metrics(self, spec: ModelSpec, config: AcceleratorConfig) -> Metrics | None:
+        """Metric vector of a pair, or ``None`` if not evaluable."""
+        tensor = self._tensor()
+        key = self._key(spec, config, tensor) if spec.valid else None
+        return self._result(spec, config, key, tensor)[0]
 
     # --- E(s) ---------------------------------------------------------------
     def evaluate(self, spec: ModelSpec, config: AcceleratorConfig) -> EvaluationResult:
-        """Full evaluation: metrics + scenario reward."""
-        self.num_evaluations += 1
-        metrics = self.metrics(spec, config)
-        return EvaluationResult(
-            spec=spec, config=config, metrics=metrics, reward=self.reward_fn(metrics)
-        )
+        """Full evaluation: metrics + scenario reward (a one-pair batch)."""
+        return self.evaluate_batch(((spec, config),))[0]
 
     def evaluate_batch(
         self, pairs: Sequence[tuple[ModelSpec, AcceleratorConfig]]
@@ -370,260 +420,46 @@ class CodesignEvaluator:
         """Evaluate many pairs, computing each distinct pair once.
 
         Returns one result per input pair, in order; duplicate pairs
-        share one computation but still count as evaluations.
+        share one computation but still count as evaluations.  A
+        repeated ``(spec, config)`` pair of the same objects shares one
+        result object; an isomorphic cell or an equal configuration
+        gets its own result around the caller's objects, with the same
+        metrics and reward.
 
-        This is the engine behind the batched ask/tell search loop: the
-        expensive key derivations (``spec_hash``'s isomorphism-invariant
-        md5 canonicalization, the latency-table column index) are
-        memoized across batches, and duplicate pairs inside a batch
-        collapse to one metric + reward computation.  Every metric and
-        the reward still come from exactly the same pure lookups and the
-        same scalar reward path as :meth:`evaluate`, so batched results
-        are bit-identical to pointwise results — only faster.
-
-        With ``tensorize`` set and an enumerable platform space, the
-        batch answers from the tensorized fast path instead (pure
-        ndarray indexing + a persistent result memo — see
-        :meth:`_evaluate_batch_tensorized`); ``evaluate`` always stays
-        on the scalar path, which is the reference the differential
-        suite compares against.
+        Every pair takes the same keyed pipeline (module docstring), so
+        results are bit-identical whatever the batch size and whichever
+        metric source answers: the tensor's elements *are* the
+        platform's batch outputs, which the platform contract pins to
+        the scalar calls bit for bit, and the reward is the same scalar
+        :class:`RewardFunction` applied once per distinct point.
         """
-        if self.tensorize:
-            tensor = self._tensorized()
-            if tensor is not None:
-                return self._evaluate_batch_tensorized(pairs, tensor)
-        memo: dict[tuple, EvaluationResult] = {}
+        tensor = self._tensor()
+        self.num_evaluations += len(pairs)
+        batch: dict = {}
         out: list[EvaluationResult] = []
         for spec, config in pairs:
-            self.num_evaluations += 1
-            if not spec.valid:
-                out.append(
-                    EvaluationResult(
-                        spec=spec, config=config, metrics=None,
-                        reward=self.reward_fn(None),
-                    )
-                )
-                continue
-            ckey = config_key(config)
-            content = (spec.matrix.tobytes(), tuple(spec.ops))
-            spec_hash = self._content_hash_memo.get(content)
-            if spec_hash is None:
-                spec_hash = spec.spec_hash()
-                self._content_hash_memo[content] = spec_hash
-            key = (spec_hash, ckey)
-            result = memo.get(key)
+            key = self._key(spec, config, tensor) if spec.valid else None
+            result = batch.get(key)
             if result is None:
-                metrics = self._metrics_hashed(spec, config, spec_hash, ckey)
-                result = EvaluationResult(
-                    spec=spec, config=config, metrics=metrics,
-                    reward=self.reward_fn(metrics),
-                )
-                memo[key] = result
+                metrics, reward = self._result(spec, config, key, tensor)
+                result = batch[key] = EvaluationResult(spec, config, metrics, reward)
+            elif result.spec is not spec or result.config is not config:
+                result = EvaluationResult(spec, config, result.metrics, result.reward)
             out.append(result)
         return out
-
-    def _evaluate_batch_tensorized(
-        self, pairs, tensor
-    ) -> list[EvaluationResult]:
-        """:meth:`evaluate_batch` answered from dense full-space arrays.
-
-        Per pair: resolve the config to its flat index (identity-memoized
-        — interned configs never rebuild a key), then serve the whole
-        (metrics, reward) from a bounded ``(spec_hash, index)`` memo; a
-        miss reads area/validity straight out of the tensor and latency
-        from the attached bundle table or the tensor's per-cell latency
-        row.  Results are bit-identical to the scalar path because every
-        array element *is* the platform's batch output, which the
-        platform contract pins to the scalar call bit for bit, and the
-        reward is the same scalar :class:`RewardFunction` applied once
-        per distinct point (rewards are pure functions of metrics, so
-        memoizing whole results changes cost, never values).
-
-        Deliberately bypassed here: ``config_key`` derivation, the
-        ``_content_hash_memo``/``_area_cache``/``_latency_cache`` memos
-        (never populated — a full-space sweep leaves them empty), and
-        the shared persistent eval cache (the tensor's own disk cache
-        provides the warm start instead).
-        """
-        memo: dict[tuple, EvaluationResult] = {}
-        out: list[EvaluationResult] = []
-        invalid_reward = None
-        for spec, config in pairs:
-            self.num_evaluations += 1
-            if not spec.valid:
-                if invalid_reward is None:
-                    invalid_reward = self.reward_fn(None)
-                out.append(
-                    EvaluationResult(
-                        spec=spec, config=config, metrics=None,
-                        reward=invalid_reward,
-                    )
-                )
-                continue
-            content = (spec.matrix.tobytes(), tuple(spec.ops))
-            spec_hash = self._tensor_hash_memo.get(content)
-            if spec_hash is None:
-                spec_hash = spec.spec_hash()
-                self._tensor_hash_memo[content] = spec_hash
-            index = tensor.index_of(config)
-            key = (spec_hash, index)
-            result = memo.get(key)
-            if result is None:
-                cached = self._tensor_results.get(key)
-                if cached is None:
-                    metrics = self._tensor_metrics(spec, spec_hash, index, tensor)
-                    cached = (metrics, self.reward_fn(metrics))
-                    self._tensor_results[key] = cached
-                # Rebuild the result around *this* batch's spec/config
-                # objects: spec_hash is isomorphism-invariant, so the
-                # memoized entry may have been filled by an isomorphic
-                # but differently laid-out spec.
-                result = EvaluationResult(
-                    spec=spec, config=config,
-                    metrics=cached[0], reward=cached[1],
-                )
-                memo[key] = result
-            out.append(result)
-        return out
-
-    def _tensor_metrics(
-        self, spec: ModelSpec, spec_hash: str, index: int, tensor
-    ) -> Metrics | None:
-        """Metrics for one (cell, flat config index) from the tensor.
-
-        Mirrors :meth:`_metrics_hashed` exactly: accuracy first (same
-        ``_accuracy_cache`` — accuracy depends only on the cell, so the
-        two paths share it), then configuration validity, then
-        latency/area.  Latency prefers the attached bundle table when it
-        has a row for this cell — the scalar path serves the identical
-        float32-round-tripped entry, and the table's space is validated
-        against the platform's at attach time so flat indices align —
-        and otherwise reads the tensor's float64 per-cell row.
-        """
-        if spec_hash in self._accuracy_cache:
-            accuracy = self._accuracy_cache[spec_hash]
-        else:
-            accuracy = self.accuracy_fn(spec)
-            self._accuracy_cache[spec_hash] = accuracy
-        if accuracy is None or not tensor.valid[index]:
-            return None
-        latency = None
-        if self._latency_table is not None:
-            latency_ms, row_of_hash, _space = self._latency_table
-            row = row_of_hash.get(spec_hash)
-            if row is not None:
-                latency = float(latency_ms[row, index]) / 1e3
-        if latency is None:
-            latency = float(
-                tensor.latency_row(
-                    spec_hash, lambda: self.compile_fn(spec, self.skeleton)
-                )[index]
-            )
-        return Metrics(
-            accuracy=accuracy,
-            latency_s=latency,
-            area_mm2=float(tensor.area_mm2[index]),
-        )
-
-    def _metrics_hashed(
-        self,
-        spec: ModelSpec,
-        config: AcceleratorConfig,
-        spec_hash: str,
-        ckey: tuple,
-    ) -> Metrics | None:
-        """:meth:`metrics` with the expensive keys already derived."""
-        cache = self.eval_cache
-        cache_key = None
-        if cache is not None:
-            cache_key = (self.cache_scenario, spec_hash, str(ckey))
-            hit = cache.get(*cache_key)
-            if hit is not None:
-                if hit.accuracy is None:
-                    return None
-                return Metrics(
-                    accuracy=hit.accuracy,
-                    latency_s=hit.latency_s,
-                    area_mm2=hit.area_mm2,
-                )
-        if spec_hash in self._accuracy_cache:
-            accuracy = self._accuracy_cache[spec_hash]
-        else:
-            accuracy = self.accuracy_fn(spec)
-            self._accuracy_cache[spec_hash] = accuracy
-        if accuracy is None or not self.platform.config_valid(config):
-            if cache is not None:
-                cache.put(CacheEntry(*cache_key, None, None, None))
-            return None
-        latency = self._latency_hashed(spec, config, spec_hash, ckey)
-        area = self._area_cache.get(ckey)
-        if area is None:
-            area = self.platform.area_mm2(config)
-            self._area_cache[ckey] = area
-        metrics = Metrics(accuracy=accuracy, latency_s=latency, area_mm2=area)
-        if cache is not None:
-            cache.put(
-                CacheEntry(*cache_key, metrics.accuracy, metrics.latency_s, metrics.area_mm2)
-            )
-        return metrics
-
-    def _latency_hashed(
-        self,
-        spec: ModelSpec,
-        config: AcceleratorConfig,
-        spec_hash: str,
-        ckey: tuple,
-    ) -> float:
-        """:meth:`latency_s` with the expensive keys already derived."""
-        if self._latency_table is not None:
-            latency_ms, row_of_hash, space = self._latency_table
-            row = row_of_hash.get(spec_hash)
-            if row is not None:
-                col = self._config_index_memo.get(ckey)
-                if col is None:
-                    col = space.index_of(config)
-                    self._config_index_memo[ckey] = col
-                return float(latency_ms[row, col]) / 1e3
-        key = (spec_hash, ckey)
-        if key not in self._latency_cache:
-            ir = self.compile_fn(spec, self.skeleton)
-            self._latency_cache[key] = self.platform.network_latency_s(ir, config)
-        return self._latency_cache[key]
 
     def with_reward(self, reward_config: RewardConfig) -> "CodesignEvaluator":
-        """Same caches and platform under a different scenario.
+        """Same memos and platform under a different scenario.
 
         Used by the threshold-schedule search (Section IV), which
         raises the perf/area constraint mid-run without discarding the
-        latency/area memoization.
+        latency/area memoization.  The clone keeps the parent's eval
+        cache namespace, so rung changes reuse warm rows.
         """
-        clone = CodesignEvaluator.__new__(CodesignEvaluator)
-        clone.accuracy_fn = self.accuracy_fn
+        clone = copy.copy(self)
         clone.reward_fn = RewardFunction(reward_config)
-        clone.skeleton = self.skeleton
-        clone.compile_fn = self.compile_fn
-        clone.platform = self.platform
-        clone._area_cache = self._area_cache
-        clone._latency_cache = self._latency_cache
-        clone._accuracy_cache = self._accuracy_cache
-        clone._content_hash_memo = self._content_hash_memo
-        clone._config_index_memo = self._config_index_memo
-        clone._latency_table = self._latency_table
-        clone.eval_cache = self.eval_cache
-        # Tensorized state: the tensor and the content->hash memo are
-        # reward-independent (shared), but the result memo folds the
-        # reward in — a clone under a different scenario needs its own.
-        clone.tensorize = self.tensorize
-        clone._cache_capacity = self._cache_capacity
-        clone._tensor = self._tensor
-        clone._tensor_unavailable = self._tensor_unavailable
-        clone._tensor_hash_memo = self._tensor_hash_memo
-        clone._tensor_results = LRUCache(self._cache_capacity)
-        # Clones keep the parent's cache namespace so threshold-schedule
-        # rung changes reuse warm rows, mirroring the shared dicts above.
-        clone.cache_scenario = self.cache_scenario
+        clone._results = LRUCache(self._memos.capacity)
         clone.num_evaluations = 0
-        clone.source_info = self.source_info
         return clone
 
     def with_platform(self, platform: HardwarePlatform) -> "CodesignEvaluator":
@@ -631,36 +467,19 @@ class CodesignEvaluator:
 
         Used by the two-tier search mode, which scores proposals on a
         :class:`repro.hw.SurrogatePlatform` twin of the exact platform:
-        the accuracy function, its cache, and the content-hash memo are
+        the accuracy function, its memo, and the content-hash memo are
         shared (cell accuracy is platform-independent — re-deriving it
         would re-train trainer-backed sources), but every
-        hardware-derived cache starts empty, the precomputed latency
-        table is dropped, and no persistent eval cache is attached —
-        approximate metrics must never reach (or be served from) the
-        exact platform's cached rows.
+        hardware-derived memo starts empty, the precomputed latency
+        table and tensor are dropped, and no persistent eval cache is
+        attached — approximate metrics must never reach (or be served
+        from) the exact platform's cached rows.
         """
-        clone = CodesignEvaluator.__new__(CodesignEvaluator)
-        clone.accuracy_fn = self.accuracy_fn
-        clone.reward_fn = RewardFunction(self.reward_fn.config)
-        clone.skeleton = self.skeleton
-        clone.compile_fn = self.compile_fn
+        clone = self.with_reward(self.reward_fn.config)
         clone.platform = platform
-        clone._area_cache = LRUCache(self._cache_capacity)
-        clone._latency_cache = LRUCache(self._cache_capacity)
-        clone._accuracy_cache = self._accuracy_cache
-        clone._content_hash_memo = self._content_hash_memo
-        clone._config_index_memo = {}
-        clone._latency_table = None
+        clone._memos = self._memos.for_platform()
         clone.eval_cache = None
         clone.tensorize = False
-        clone._cache_capacity = self._cache_capacity
-        clone._tensor = None
-        clone._tensor_unavailable = False
-        clone._tensor_hash_memo = LRUCache(self._cache_capacity)
-        clone._tensor_results = LRUCache(self._cache_capacity)
-        clone.cache_scenario = self.cache_scenario
-        clone.num_evaluations = 0
-        clone.source_info = self.source_info
         return clone
 
 

@@ -16,9 +16,8 @@ three hooks —
 — and the shared :meth:`SearchStrategy.run` driver turns them into a
 search: each iteration asks for a batch, evaluates it in **one**
 :meth:`repro.core.CodesignEvaluator.evaluate_batch` call (or any
-caller-supplied batch evaluation function, e.g. a process-pool fan-out
-from :func:`repro.search.runner.make_batch_evaluator`), and tells the
-results back.
+caller-supplied batch evaluation function), and tells the results
+back.
 
 Every strategy is additionally **checkpointable**: :meth:`state_dict`
 snapshots everything future proposals depend on (RNG stream, archive,

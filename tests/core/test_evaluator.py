@@ -7,10 +7,11 @@ from repro.accelerator.config import AcceleratorConfig
 from repro.core.evaluator import CodesignEvaluator
 from repro.core.reward import MetricBounds, RewardConfig
 from repro.core.scenarios import unconstrained
+from repro.hw import build_platform
 from repro.nasbench.database import CellDatabase, enumerate_unique_cells, sample_unique_cells
 from repro.nasbench.known_cells import resnet_cell
 from repro.nasbench.model_spec import ModelSpec
-from repro.nasbench.ops import CONV3X3, INPUT, OUTPUT
+from repro.nasbench.ops import CONV3X3, INPUT, MAXPOOL3X3, OUTPUT
 from repro.nasbench.surrogate import Cifar10Surrogate
 
 
@@ -59,9 +60,9 @@ class TestCaching:
     def test_latency_cached(self, db_evaluator, default_config):
         spec = resnet_cell()
         first = db_evaluator.latency_s(spec, default_config)
-        assert len(db_evaluator._latency_cache) == 1
+        assert len(db_evaluator._memos.latency) == 1
         assert db_evaluator.latency_s(spec, default_config) == first
-        assert len(db_evaluator._latency_cache) == 1
+        assert len(db_evaluator._memos.latency) == 1
 
     def test_evaluation_counter(self, db_evaluator, default_config):
         db_evaluator.evaluate(resnet_cell(), default_config)
@@ -73,9 +74,30 @@ class TestCaching:
         clone = db_evaluator.with_reward(
             RewardConfig(weights=(0, 0, 1), bounds=MetricBounds())
         )
-        assert clone._latency_cache is db_evaluator._latency_cache
+        assert clone._memos is db_evaluator._memos
         result = clone.evaluate(resnet_cell(), default_config)
         assert result.valid
+
+    def test_with_platform_starts_fresh_hardware_state(
+        self, micro4_bundle, default_config
+    ):
+        from repro.experiments.search_study import make_bundle_evaluator
+        from repro.parallel import EvalCache
+
+        exact = make_bundle_evaluator(micro4_bundle, unconstrained(micro4_bundle.bounds))
+        exact.attach_eval_cache(EvalCache())
+        exact.tensorize = True
+        spec = micro4_bundle.database.records[0].spec
+        exact.evaluate(spec, default_config)
+        twin = exact.with_platform(build_platform("dac2020-scaled"))
+        # Cell memos are shared; every hardware-derived state is fresh.
+        assert twin._memos.accuracy is exact._memos.accuracy
+        assert twin._memos.spec_hash is exact._memos.spec_hash
+        assert twin._memos.table is None and twin._memos.tensor is None
+        assert twin.eval_cache is None and not twin.tensorize
+        assert len(twin._memos.area) == 0 and len(twin._results) == 0
+        twin.evaluate(spec, default_config)
+        assert exact._memos.table is not None
 
     def test_with_reward_changes_reward_only(self, db_evaluator, default_config):
         base = db_evaluator.evaluate(resnet_cell(), default_config)
@@ -186,6 +208,55 @@ class TestEvaluateBatchExactness:
         for a, b in zip(results[:10], results[10:]):
             if a.spec.valid:
                 assert a is b  # one computation, shared result
+
+    @pytest.mark.parametrize("tensorize", [False, True], ids=["memoized", "tensorized"])
+    def test_isomorphic_duplicates_keep_their_own_spec(self, tensorize):
+        """Pairs sharing a spec_hash but not a layout keep their own spec."""
+        from repro.hw import TensorizedSpace
+
+        platform = build_platform("embedded-lite")
+        ev = CodesignEvaluator.from_surrogate(unconstrained(), platform=platform)
+        if tensorize:
+            ev.attach_tensorized(TensorizedSpace(platform, use_disk_cache=False))
+        matrix = np.array([[0, 1, 1, 0], [0, 0, 0, 1], [0, 0, 0, 1], [0, 0, 0, 0]])
+        a = ModelSpec(matrix, (INPUT, CONV3X3, MAXPOOL3X3, OUTPUT))
+        b = ModelSpec(matrix, (INPUT, MAXPOOL3X3, CONV3X3, OUTPUT))
+        assert a.spec_hash() == b.spec_hash() and a.ops != b.ops
+        space = platform.config_space()
+        config = next(
+            space.config_at(i)
+            for i in range(space.size)
+            if platform.config_valid(space.config_at(i))
+        )
+        equal_config = AcceleratorConfig(**config.to_dict())
+        pairs = [(a, config), (b, config), (a, equal_config)]
+        results = ev.evaluate_batch(pairs)
+        for (spec, cfg), result in zip(pairs, results):
+            assert result.spec is spec and result.config is cfg
+            assert result.metrics == results[0].metrics is not None
+            assert result.reward == results[0].reward
+        # ... and so do results served from memos filled by a previous batch.
+        for (spec, _), result in zip(pairs, ev.evaluate_batch(pairs)):
+            assert result.spec is spec
+
+    @pytest.mark.parametrize("tensorize", [False, True], ids=["memoized", "tensorized"])
+    def test_public_pieces_match_evaluate(self, tensorize):
+        platform = build_platform("embedded-lite")
+        ev = CodesignEvaluator.from_surrogate(
+            unconstrained(), platform=platform, tensorize=tensorize
+        )
+        reference = CodesignEvaluator.from_surrogate(
+            unconstrained(), platform=build_platform("embedded-lite")
+        )
+        space = platform.config_space()
+        spec = resnet_cell()
+        for config in map(space.config_at, range(0, space.size, 37)):
+            expected = reference.evaluate(spec, config).metrics
+            assert ev.metrics(spec, config) == expected
+            if expected is not None:
+                assert ev.accuracy(spec) == expected.accuracy
+                assert ev.latency_s(spec, config) == expected.latency_s
+                assert ev.area_mm2(config) == expected.area_mm2
 
     def test_batch_warms_pointwise_caches(self, micro4_bundle):
         """Batch and pointwise paths share one coherent cache family."""

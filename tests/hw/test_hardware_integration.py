@@ -64,16 +64,6 @@ class TestEvaluatorPlatform:
         assert slow.latency_s >= base.latency_s
         assert slow.area_mm2 == pytest.approx(2.0 * base.area_mm2)
 
-    def test_platform_and_legacy_models_conflict(self):
-        from repro.accelerator.area import AreaModel
-
-        with pytest.raises(ValueError, match="not both"):
-            CodesignEvaluator.from_surrogate(
-                unconstrained(),
-                area_model=AreaModel(),
-                platform=default_platform(),
-            )
-
     def test_build_evaluator_threads_platform(self):
         platform = build_platform("embedded-lite")
         evaluator = build_evaluator(
@@ -85,12 +75,12 @@ class TestEvaluatorPlatform:
     def test_database_source_skips_table_on_other_platform(self, micro4_bundle):
         scenario = unconstrained(micro4_bundle.bounds)
         reference = build_evaluator("database", scenario, bundle=micro4_bundle)
-        assert reference._latency_table is not None
+        assert reference._memos.table is not None
         other = build_evaluator(
             "database", scenario, bundle=micro4_bundle,
             platform=build_platform("dac2020-scaled", {"clock_mhz": 75.0}),
         )
-        assert other._latency_table is None
+        assert other._memos.table is None
         # ... and still evaluates, through its own models.
         spec = micro4_bundle.database.records[0].spec
         config = micro4_bundle.space.config_at(0)
@@ -108,7 +98,7 @@ class TestEvaluatorPlatform:
             "database", scenario, bundle=bundle,
             platform=build_platform("embedded-lite"),
         )
-        assert evaluator._latency_table is not None
+        assert evaluator._memos.table is not None
         spec = StudySpec(
             name="embedded-db",
             strategies=({"name": "random"},),
@@ -162,8 +152,8 @@ class TestLRUBoundedCaches:
         )
         configs = sample_configs(10, seed=6)
         first = [evaluator.evaluate(cell, c).metrics for c in configs]
-        assert len(evaluator._area_cache) <= 4
-        assert len(evaluator._latency_cache) <= 4
+        assert len(evaluator._memos.area) <= 4
+        assert len(evaluator._memos.latency) <= 4
         # Eviction never changes results — recomputation is pure.
         again = [evaluator.evaluate(cell, c).metrics for c in configs]
         for a, b in zip(first, again):
@@ -174,8 +164,10 @@ class TestLRUBoundedCaches:
         from repro.core.evaluator import DEFAULT_CACHE_CAPACITY
 
         evaluator = CodesignEvaluator.from_surrogate(unconstrained())
-        assert evaluator._area_cache.capacity == DEFAULT_CACHE_CAPACITY
-        assert evaluator._latency_cache.capacity == DEFAULT_CACHE_CAPACITY
+        memos = evaluator._memos
+        for memo in (memos.spec_hash, memos.area, memos.latency, memos.column):
+            assert memo.capacity == DEFAULT_CACHE_CAPACITY
+        assert evaluator._results.capacity == DEFAULT_CACHE_CAPACITY
 
 
 class TestStudyHardware:

@@ -17,7 +17,7 @@ bit-exactness, not approximation.  This file is the proof:
 * ask/tell golden replays with tensorization on, proving search
   trajectories are unchanged against the frozen legacy traces;
 * the satellite regressions: a full-space sweep must leave the
-  evaluator's LRU/hash memos empty, per-platform tensor disk caches
+  evaluator's hardware memos empty, per-platform tensor disk caches
   must not cross-contaminate, and drifted models must never serve
   stale cached rows.
 """
@@ -148,7 +148,7 @@ class TestEnumerability:
         space = platform.config_space()
         pairs = [(spec, space.config_at(i)) for i in range(0, space.size, 7)]
         got = fast.evaluate_batch(pairs)
-        assert fast._tensor is None and fast._tensor_unavailable
+        assert fast._memos.tensor is False  # the cached fallback verdict
         reference = CodesignEvaluator.from_surrogate(
             RewardConfig(), platform=build_platform("embedded-lite")
         )
@@ -219,15 +219,14 @@ class TestMemoBypassRegression:
         fast.evaluate_batch(
             [(spec, space.config_at(i)) for i in range(space.size)]
         )
-        assert len(fast._area_cache) == 0
-        assert len(fast._latency_cache) == 0
-        assert len(fast._content_hash_memo) == 0
-        assert len(fast._config_index_memo) == 0
-        # The tensorized path keeps its own bounded memos instead:
-        # one (metrics, reward) per visited (cell, index), one hash
-        # per distinct cell content.
-        assert len(fast._tensor_results) == space.size
-        assert len(fast._tensor_hash_memo) == 1
+        assert len(fast._memos.area) == 0
+        assert len(fast._memos.latency) == 0
+        assert len(fast._memos.column) == 0
+        # The tensorized path fills only its bounded result memo (one
+        # (metrics, reward) per visited (cell, index)) and the shared
+        # content-hash memo (one hash per distinct cell content).
+        assert len(fast._results) == space.size
+        assert len(fast._memos.spec_hash) == 1
 
     def test_eval_cache_not_consulted_on_tensorized_path(self, platforms):
         class ExplodingCache:

@@ -293,64 +293,3 @@ class TestCachedTrainerStore:
         acc_b = b.train_and_score(resnet_cell()).accuracy
         assert acc_a != acc_b
         assert b.misses == 1
-
-
-class TestEvictionUnderConcurrentMerge:
-    """Absorbing worker results into a tiny-capacity parent evaluator
-    while a sibling's rows merge into the shared sqlite store must keep
-    the LRU memos bounded, lose no persistent rows, and change no
-    values (evicted entries recompute bit-identically)."""
-
-    def test_absorb_batch_respects_capacity_during_merge(
-        self, micro4_bundle, tmp_path
-    ):
-        from repro.core.evaluator import CodesignEvaluator
-        from repro.search.runner import _absorb_batch
-
-        scenario = unconstrained(micro4_bundle.bounds)
-        parent = CodesignEvaluator.from_database(
-            micro4_bundle.database, scenario, cache_capacity=2
-        )
-        parent.attach_latency_table(
-            micro4_bundle.latency_ms,
-            micro4_bundle.row_of_hash(),
-            micro4_bundle.space,
-        )
-        path = tmp_path / "ec.sqlite"
-        parent.attach_eval_cache(EvalCache(path), scenario="test")
-
-        worker = make_bundle_evaluator(micro4_bundle, scenario)
-        records = micro4_bundle.database.records
-        pairs = [
-            (records[i % len(records)].spec, micro4_bundle.space.config_at(i * 11))
-            for i in range(8)
-        ]
-        results = worker.evaluate_batch(pairs)
-
-        # Interleave: absorb half, merge a sibling worker's drained
-        # rows into the shared store, absorb the rest.
-        sibling = EvalCache()
-        sibling.put(entry(scenario="test", spec="sibling-cell"))
-        _absorb_batch(parent, results[:4])
-        parent.eval_cache.merge(sibling.drain_pending())
-        _absorb_batch(parent, results[4:])
-
-        # The bounded memos never exceeded their capacity...
-        assert parent._area_cache.capacity == 2
-        assert len(parent._area_cache) <= 2
-        assert len(parent._latency_cache) <= 2
-        # ...eviction really happened (8 distinct configs > capacity 2)...
-        assert len(parent._area_cache) == 2
-        # ...while the persistent store kept every row: the 8 absorbed
-        # pairs plus the sibling's merged one.
-        assert parent.eval_cache.get("test", "sibling-cell", "(1,)") is not None
-        parent.eval_cache.flush()
-        with sqlite3.connect(path) as conn:
-            (count,) = conn.execute("SELECT COUNT(*) FROM evals").fetchone()
-        assert count == 9
-
-        # Evicted entries recompute (or cache-hit) bit-identically.
-        for (spec, config), reference in zip(pairs, results):
-            again = parent.evaluate(spec, config)
-            assert again.metrics == reference.metrics
-            assert again.reward == reference.reward

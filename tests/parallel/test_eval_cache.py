@@ -293,3 +293,64 @@ class TestCachedTrainerStore:
         acc_b = b.train_and_score(resnet_cell()).accuracy
         assert acc_a != acc_b
         assert b.misses == 1
+
+
+class TestEvictionUnderConcurrentMerge:
+    """Evaluating through a tiny-capacity evaluator while a sibling's
+    rows merge into the shared sqlite store must keep the LRU memos
+    bounded, lose no persistent rows, and change no values (evicted
+    entries recompute bit-identically)."""
+
+    def test_evaluate_batch_respects_capacity_during_merge(
+        self, micro4_bundle, tmp_path
+    ):
+        from repro.core.evaluator import CodesignEvaluator
+
+        scenario = unconstrained(micro4_bundle.bounds)
+        parent = CodesignEvaluator.from_database(
+            micro4_bundle.database, scenario, cache_capacity=2
+        )
+        parent.attach_latency_table(
+            micro4_bundle.latency_ms,
+            micro4_bundle.row_of_hash(),
+            micro4_bundle.space,
+        )
+        path = tmp_path / "ec.sqlite"
+        parent.attach_eval_cache(EvalCache(path), scenario="test")
+
+        records = micro4_bundle.database.records
+        pairs = [
+            (records[i % len(records)].spec, micro4_bundle.space.config_at(i * 11))
+            for i in range(8)
+        ]
+        reference = make_bundle_evaluator(micro4_bundle, scenario).evaluate_batch(pairs)
+
+        # Interleave: evaluate half, merge a sibling worker's drained
+        # rows into the shared store, evaluate the rest.
+        sibling = EvalCache()
+        sibling.put(entry(scenario="test", spec="sibling-cell"))
+        parent.evaluate_batch(pairs[:4])
+        parent.eval_cache.merge(sibling.drain_pending())
+        parent.evaluate_batch(pairs[4:])
+
+        # The bounded memos never exceeded their capacity...
+        memos = parent._memos
+        assert memos.area.capacity == 2
+        assert len(memos.area) <= 2
+        assert len(memos.latency) <= 2
+        assert len(memos.column) <= 2
+        # ...eviction really happened (8 distinct configs > capacity 2)...
+        assert len(memos.area) == 2
+        # ...while the persistent store kept every row: the 8 evaluated
+        # pairs plus the sibling's merged one.
+        assert parent.eval_cache.get("test", "sibling-cell", "(1,)") is not None
+        parent.eval_cache.flush()
+        with sqlite3.connect(path) as conn:
+            (count,) = conn.execute("SELECT COUNT(*) FROM evals").fetchone()
+        assert count == 9
+
+        # Evicted entries recompute (or cache-hit) bit-identically.
+        for (spec, config), expected in zip(pairs, reference):
+            again = parent.evaluate(spec, config)
+            assert again.metrics == expected.metrics
+            assert again.reward == expected.reward

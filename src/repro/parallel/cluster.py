@@ -4,19 +4,21 @@ The ``cluster`` :class:`~repro.parallel.pool.ExecutionBackend` scales
 a grid beyond one process pool: any number of worker processes —
 forked locally by the backend, or started on other machines with
 ``python -m repro.parallel.worker`` (``repro worker``) against a
-shared state directory — cooperate through the run ledger's
-``task_leases`` table:
+shared state directory — cooperate through the run ledger's one
+lease primitive (kind ``task``):
 
 * every pending (label, repeat) task gets a lease row;
-* workers atomically claim the next runnable task (``BEGIN
-  IMMEDIATE`` — never two claimants), heartbeat while searching it,
-  and record the result through
-  :meth:`~repro.parallel.ledger.RunLedger.record_done_leased`;
+* workers atomically claim the next runnable task with its fence
+  epoch (``BEGIN IMMEDIATE`` — never two claimants), heartbeat under
+  that epoch while searching it, and record the result through
+  :meth:`~repro.parallel.ledger.RunLedger.record_leased`;
 * a crashed or stalled worker's lease heartbeat goes stale and the
-  task is re-issued — resuming from its last checkpoint, so the work
-  already persisted is replayed, not recomputed;
-* a straggler that finishes after losing its lease is refused at
-  record time, so no task is ever recorded twice;
+  task is re-issued under a new epoch — resuming from its last
+  checkpoint, so the work already persisted is replayed, not
+  recomputed;
+* a stalled worker whose heartbeat is refused stops the task at its
+  next checkpoint save, and its late record is refused, so no task is
+  ever recorded twice (not even after the same worker re-claimed it);
 * workers may join and leave at any point (elasticity): joining means
   opening the ledger and claiming; leaving means simply exiting, with
   any held lease re-issued after ``stale_after`` seconds.
@@ -47,7 +49,7 @@ import warnings
 from pathlib import Path
 
 from repro.parallel.cache import EvalCache
-from repro.parallel.ledger import LedgerError, RunLedger
+from repro.parallel.ledger import LedgerError, RunLedger, parse_task_key
 from repro.parallel.pool import (
     ExecutionBackend,
     _mark_worker,
@@ -60,8 +62,33 @@ from repro.utils.rng import hash_seed
 __all__ = ["ClusterBackend", "run_worker"]
 
 
+class _LeaseRevoked(Exception):
+    """The task's lease moved on; raised at the next checkpoint save."""
+
+
+class _FencedCheckpoint:
+    """A task checkpoint that ends the search once the lease is revoked.
+
+    Saves fall on batch boundaries, so a worker whose heartbeat was
+    refused stops there, leaving the new holder's checkpoint alone.
+    """
+
+    def __init__(self, inner, revoked: threading.Event) -> None:
+        self.inner = inner
+        self.revoked = revoked
+
+    def load(self) -> dict | None:
+        return self.inner.load()
+
+    def save(self, state: dict) -> None:
+        if self.revoked.is_set():
+            raise _LeaseRevoked
+        self.inner.save(state)
+
+
 def _heartbeat_loop(
-    path, label: str, repeat: int, worker_id: str, every: float, stop: threading.Event
+    path, key: str, epoch: int, every: float, stop: threading.Event,
+    revoked: threading.Event,
 ) -> None:
     # Own ledger (and sqlite connection) per heartbeat thread:
     # connections are neither thread- nor fork-safe, and the worker's
@@ -69,10 +96,10 @@ def _heartbeat_loop(
     ledger = RunLedger(path)
     try:
         while not stop.wait(every):
-            if not ledger.heartbeat_task(label, repeat, worker_id, time.time()):
-                # Lease re-issued (we stalled past stale_after): the
-                # new holder owns the task now and record_done_leased
-                # will refuse our result.  Nothing left to keep alive.
+            if not ledger.heartbeat("task", key, epoch, time.time()):
+                # Lease re-issued (we stalled past stale_after) or
+                # settled elsewhere: the current holder owns the task.
+                revoked.set()
                 return
     finally:
         ledger.close()
@@ -111,8 +138,8 @@ def run_worker(
         ledger = RunLedger(ledger)
     if ledger.path is None:
         raise LedgerError(
-            "a cluster worker requires a file-backed ledger — the "
-            "task_leases table is the coordination substrate"
+            "a cluster worker requires a file-backed ledger — its "
+            "lease table is the coordination substrate"
         )
     if worker_id is None:
         worker_id = f"{socket.gethostname()}-{os.getpid()}"
@@ -140,8 +167,8 @@ def run_worker(
     recorded = 0
     try:
         while True:
-            claim = ledger.claim_task(
-                worker_id, os.getpid(), time.time(), stale_after
+            claim = ledger.claim(
+                "task", worker_id, os.getpid(), time.time(), stale_after
             )
             if claim is None:
                 # Re-sync lease states first: a task recorded outside
@@ -150,11 +177,12 @@ def run_worker(
                 # the progress check below forever.
                 ledger.seed_task_leases([])
                 progress = ledger.cluster_progress()
-                if progress["total"] == 0 or progress["done"] >= progress["total"]:
+                if not progress["pending"] and not progress["leased"]:
                     break
                 time.sleep(poll_every)
                 continue
-            label, repeat = claim
+            key, epoch = claim
+            label, repeat = parse_task_key(key)
             job = by_label.get(label)
             if job is None:
                 raise LedgerError(
@@ -190,9 +218,10 @@ def run_worker(
                         )
             worker_cache = evaluator.eval_cache
             stop = threading.Event()
+            revoked = threading.Event()
             beat = threading.Thread(
                 target=_heartbeat_loop,
-                args=(ledger.path, label, repeat, worker_id, heartbeat_every, stop),
+                args=(ledger.path, key, epoch, heartbeat_every, stop, revoked),
                 daemon=True,
             )
             beat.start()
@@ -204,21 +233,27 @@ def run_worker(
                     evaluator,
                     num_steps,
                     batch_size=batch_size,
-                    checkpoint=ledger.checkpoint(label, repeat),
+                    checkpoint=_FencedCheckpoint(
+                        ledger.checkpoint(label, repeat), revoked
+                    ),
                     checkpoint_every=checkpoint_every,
                 )
+            except _LeaseRevoked:
+                result = None
             finally:
                 stop.set()
                 beat.join()
             if worker_cache is not None:
-                # Delta merge-back at task completion: new rows become
-                # visible to every other worker (and the coordinator).
+                # Delta merge-back at task end: new rows become visible
+                # to every other worker (and the coordinator).
                 worker_cache.flush()
-            if ledger.record_done_leased(label, repeat, worker_id, result):
+            if result is not None and ledger.record_leased(
+                label, repeat, epoch, result, time.time()
+            ):
                 recorded += 1
-            # A refused record means we were a straggler: the lease was
-            # re-issued and the current holder records the bit-identical
-            # result.  Either way, move on to the next claim.
+            # No result or a refused record means we were a straggler:
+            # the lease was re-issued and the current holder records
+            # the bit-identical result.  Either way, move on.
             if max_tasks is not None and recorded >= max_tasks:
                 break
     finally:
@@ -306,7 +341,7 @@ class ClusterBackend(ExecutionBackend):
         if ledger is None or ledger.path is None:
             raise ValueError(
                 "the cluster backend requires a file-backed ledger — "
-                "workers coordinate through its task_leases table; pass "
+                "workers coordinate through its lease table; pass "
                 "ledger=<path> (execution.ledger in a study spec)"
             )
         cache = grid.cache

@@ -16,18 +16,17 @@ layer behind ``run_grid(..., ledger=...)``:
 * ``meta`` pins the run configuration (steps, repeats, master seed,
   batch size, job labels) so a ledger can never silently mix results
   from incompatible runs;
-* ``studies`` is the serving layer's job queue (:mod:`repro.server`):
-  submitted StudySpecs with a leased/heartbeat lifecycle, so a killed
-  server's in-flight studies are re-leased — and resumed from their
-  per-study ledgers — by the next server to open the same queue file;
-* ``task_leases`` is the cluster backend's coordination table
-  (:mod:`repro.parallel.cluster`): per-(label, repeat) leases with the
-  same claim/heartbeat/stale-reissue lifecycle as ``studies``, but at
-  task granularity — many worker processes (possibly on different
-  machines sharing the ledger file) each atomically claim the next
-  runnable task, heartbeat while searching it, and record its result;
-  a SIGKILLed worker's leases go stale and are re-claimed, resuming
-  from the task's last checkpoint.
+* ``leases`` is the one coordination primitive, keyed by ``(kind,
+  key)``: the serving layer's study queue (:mod:`repro.server`, kind
+  ``study``, payloads in ``studies``) and the cluster backend's task
+  pool (:mod:`repro.parallel.cluster`, kind ``task``) both claim,
+  heartbeat and settle rows through the same code path.  A claim
+  returns the key with its fence epoch (the row's ``claims`` counter,
+  bumped on every issue); a holder's heartbeat, finish/fail or leased
+  record takes effect only while that epoch still holds, so a killed
+  *or paused* holder's lease goes stale, is re-issued — the work
+  resuming from its last checkpoint — and the old holder can neither
+  revive it nor record an outcome.
 
 On resume, ``run_grid`` loads ``done`` tasks instead of re-running
 them and restarts interrupted tasks from their last checkpoint;
@@ -56,20 +55,26 @@ import base64
 import json
 import os
 import sqlite3
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 __all__ = [
+    "LEASE_STATES",
     "LedgerCheckpoint",
     "LedgerError",
     "MemoryCheckpoint",
     "RunLedger",
     "STUDY_STATES",
+    "STUDY_STATE_OF",
+    "TERMINAL_LEASE_STATES",
     "TERMINAL_STUDY_STATES",
     "decode_state",
     "encode_state",
+    "parse_task_key",
+    "task_key",
 ]
 
 #: Matches the EvalCache: generous, because every write is one small
@@ -96,42 +101,119 @@ CREATE TABLE IF NOT EXISTS checkpoints (
     PRIMARY KEY (label, repeat)
 );
 CREATE TABLE IF NOT EXISTS studies (
-    study_id     TEXT PRIMARY KEY,
-    spec         TEXT NOT NULL,
-    state        TEXT NOT NULL DEFAULT 'queued',
-    submitted_at REAL NOT NULL,
-    started_at   REAL,
-    finished_at  REAL,
-    lease_pid    INTEGER,
-    heartbeat    REAL,
-    result       TEXT,
-    error        TEXT
+    study_id TEXT PRIMARY KEY,
+    spec     TEXT NOT NULL,
+    result   TEXT,
+    error    TEXT
 );
-CREATE TABLE IF NOT EXISTS task_leases (
-    label     TEXT NOT NULL,
-    repeat    INTEGER NOT NULL,
-    state     TEXT NOT NULL DEFAULT 'pending',
-    worker    TEXT,
-    lease_pid INTEGER,
-    heartbeat REAL,
-    claims    INTEGER NOT NULL DEFAULT 0,
-    PRIMARY KEY (label, repeat)
+CREATE TABLE IF NOT EXISTS leases (
+    kind        TEXT NOT NULL,
+    key         TEXT NOT NULL,
+    state       TEXT NOT NULL DEFAULT 'pending',
+    holder      TEXT,
+    pid         INTEGER,
+    heartbeat   REAL,
+    claims      INTEGER NOT NULL DEFAULT 0,
+    queued_at   REAL NOT NULL DEFAULT 0,
+    started_at  REAL,
+    finished_at REAL,
+    PRIMARY KEY (kind, key)
 );
 """
 
-#: Study-queue lifecycle (see the queue methods on :class:`RunLedger`):
-#: ``queued`` -> ``running`` (leased by a worker) -> one of the
-#: terminal states.  A ``running`` study whose lease heartbeat goes
-#: stale is claimable again — that is the whole crash-recovery story:
-#: a SIGKILLed server leaves its in-flight studies ``running``, the
-#: next server (same queue file) re-leases them, and the per-study run
-#: ledger resumes the actual search from its checkpoints.
+#: The one lease lifecycle, shared by every kind (``study`` queue rows
+#: and cluster ``task`` rows): ``pending`` -> ``leased`` -> one of the
+#: terminal states.  A ``leased`` key whose heartbeat is older than
+#: ``stale_after`` is claimable again — that is the whole
+#: crash-recovery story — and every claim bumps the key's ``claims``
+#: counter, which is the lease's *fence epoch*: heartbeats, finishes
+#: and leased records only take effect while the caller's epoch is
+#: still the current one and the lease is still ``leased``.
+LEASE_STATES = ("pending", "leased", "done", "failed", "cancelled")
+TERMINAL_LEASE_STATES = ("done", "failed", "cancelled")
+
+#: The study queue names the same lifecycle for its API: a queued
+#: study is a pending lease, a running study a leased one.
 STUDY_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STUDY_STATES = ("done", "failed", "cancelled")
+STUDY_STATE_OF = dict(zip(LEASE_STATES, STUDY_STATES))
 
 
 class LedgerError(RuntimeError):
     """A ledger cannot serve the requested run (mismatch, misuse)."""
+
+
+def task_key(label: str, repeat: int) -> str:
+    """The lease key of one cluster task: ``<label>#<repeat>``."""
+    return f"{label}#{int(repeat)}"
+
+
+def parse_task_key(key: str) -> tuple[str, int]:
+    """Inverse of :func:`task_key` (labels may contain ``#`` themselves)."""
+    label, _, repeat = key.rpartition("#")
+    return label, int(repeat)
+
+
+_STUDY_SELECT = (
+    "SELECT s.study_id, s.spec, l.state, l.queued_at, l.started_at,"
+    " l.finished_at, l.pid, l.heartbeat, s.result, s.error"
+    " FROM studies s JOIN leases l ON l.kind='study' AND l.key=s.study_id"
+)
+
+
+def _study_row(row) -> dict:
+    return {
+        "id": row[0],
+        "spec": json.loads(row[1]),
+        "state": STUDY_STATE_OF[row[2]],
+        "submitted_at": row[3],
+        "started_at": row[4],
+        "finished_at": row[5],
+        "lease_pid": row[6],
+        "heartbeat": row[7],
+        "result": json.loads(row[8]) if row[8] else None,
+        "error": row[9],
+    }
+
+
+def _migrate(db: sqlite3.Connection) -> None:
+    """Fold the lease columns and table of an older file into ``leases``.
+
+    Files written before the ``leases`` table kept study lifecycle
+    columns on ``studies`` and cluster leases in ``task_leases``.  Both
+    move in one transaction (a queued study stays queued, a running one
+    running until its heartbeat goes stale), or the file is refused
+    with :class:`LedgerError` and left as it was.
+    """
+
+    def legacy() -> bool:
+        return "state" in {row[1] for row in db.execute("PRAGMA table_info(studies)")}
+
+    if not legacy():
+        return
+    db.execute("BEGIN IMMEDIATE")
+    try:
+        if legacy():  # not migrated by a concurrent opener meanwhile
+            db.execute(
+                "INSERT INTO leases (kind, key, state, pid, heartbeat, claims,"
+                " queued_at, started_at, finished_at) SELECT 'study', study_id,"
+                " CASE state WHEN 'queued' THEN 'pending' WHEN 'running' THEN"
+                " 'leased' ELSE state END, lease_pid, heartbeat, started_at"
+                " IS NOT NULL, submitted_at, started_at, finished_at FROM studies"
+            )
+            db.execute(  # the SQL spelling of task_key()
+                "INSERT INTO leases (kind, key, state, holder, pid, heartbeat,"
+                " claims) SELECT 'task', label || '#' || repeat, state, worker,"
+                " lease_pid, heartbeat, claims FROM task_leases"
+            )
+            for column in ("state", "submitted_at", "started_at", "finished_at",
+                           "lease_pid", "heartbeat"):
+                db.execute(f"ALTER TABLE studies DROP COLUMN {column}")
+            db.execute("DROP TABLE task_leases")
+        db.execute("COMMIT")
+    except sqlite3.Error as err:
+        db.execute("ROLLBACK")
+        raise LedgerError(f"cannot migrate ledger to the leases table: {err}") from err
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +402,24 @@ class RunLedger:
             conn.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         conn.executescript(_SCHEMA)
         conn.commit()
+        try:
+            _migrate(conn)
+        except BaseException:
+            conn.close()
+            raise
         return conn
+
+    @contextmanager
+    def _transaction(self):
+        """One ``BEGIN IMMEDIATE`` write transaction, rolled back on error."""
+        db = self._db()
+        db.execute("BEGIN IMMEDIATE")
+        try:
+            yield db
+        except BaseException:
+            db.execute("ROLLBACK")
+            raise
+        db.execute("COMMIT")
 
     def _db(self) -> sqlite3.Connection:
         """The connection, reopened transparently after a fork.
@@ -430,358 +529,230 @@ class RunLedger:
         """A :class:`~repro.search.base.Checkpoint` bound to one task."""
         return LedgerCheckpoint(self, label, repeat)
 
-    # -- study queue -------------------------------------------------------
+    # -- leases --------------------------------------------------------
     #
-    # The serving layer (:mod:`repro.server`) keeps its whole queue in
-    # the ledger so queue state shares the crash-safety story of task
-    # results: every transition is one committed transaction, and a
-    # killed server loses nothing but its in-memory worker pool.
-    # Rows hold the submitted StudySpec as JSON; the actual search
-    # state lives in a per-study run ledger (tasks/checkpoints above).
+    # One lease primitive serves the study queue (:mod:`repro.server`,
+    # kind ``study``, key = study id) and the cluster backend
+    # (:mod:`repro.parallel.cluster`, kind ``task``, key =
+    # :func:`task_key`).  A claim returns the key with its fence epoch;
+    # every later write by the holder names that epoch and is refused
+    # once the lease was re-issued, cancelled or settled, so a paused
+    # or partitioned holder can neither revive its lease nor record an
+    # outcome after the lease moved on.
 
-    def submit_study(
-        self, study_id: str, spec: dict, now: float
-    ) -> None:
-        """Enqueue one study (``spec`` is a ``StudySpec.to_dict()``)."""
-        db = self._db()
-        try:
+    def claim(
+        self, kind: str, holder: str, pid: int, now: float, stale_after: float
+    ) -> tuple[str, int] | None:
+        """Atomically lease the next runnable key; ``(key, epoch)`` or ``None``.
+
+        Runnable means ``pending``, or ``leased`` with a heartbeat
+        older than ``stale_after`` seconds — abandoned by a crashed or
+        stalled holder and due for re-issue under a new epoch.  Keys
+        are claimed oldest ``queued_at`` first (submission order for
+        studies), then in key order; ``BEGIN IMMEDIATE`` means never
+        two claimants.
+        """
+        with self._transaction() as db:
+            row = db.execute(
+                "SELECT key, claims FROM leases WHERE kind=? AND (state='pending'"
+                " OR (state='leased' AND (heartbeat IS NULL OR heartbeat < ?)))"
+                " ORDER BY queued_at, key LIMIT 1",
+                (kind, now - stale_after),
+            ).fetchone()
+            if row is None:
+                return None
             db.execute(
-                "INSERT INTO studies (study_id, spec, state, submitted_at)"
-                " VALUES (?, ?, 'queued', ?)",
-                (study_id, json.dumps(spec, separators=(",", ":")), now),
+                "UPDATE leases SET state='leased', holder=?, pid=?, heartbeat=?,"
+                " claims=claims+1, started_at=COALESCE(started_at, ?)"
+                " WHERE kind=? AND key=?",
+                (holder, pid, now, now, kind, row[0]),
             )
+        return row[0], row[1] + 1
+
+    def heartbeat(
+        self, kind: str, key: str, epoch: int, now: float, pid: int | None = None
+    ) -> bool:
+        """Refresh a held lease; ``False`` once the lease is revoked.
+
+        Revoked means re-issued (a newer epoch), cancelled, or settled
+        — the holder must stop working on the key.  ``pid`` (when
+        given) re-points the lease at the process actually doing the
+        work: the server claims under its own pid but delegates to a
+        runner subprocess, and cancellation needs the runner's process
+        group.
+        """
+        db = self._db()
+        held = db.execute(
+            "UPDATE leases SET heartbeat=?, pid=COALESCE(?, pid)"
+            " WHERE kind=? AND key=? AND claims=? AND state='leased'",
+            (now, pid, kind, key, epoch),
+        ).rowcount
+        db.commit()
+        return bool(held)
+
+    def _settle(
+        self, kind: str, key: str, epoch: int, state: str, now: float, *writes
+    ) -> bool:
+        """Move a held lease to a terminal ``state`` iff ``epoch`` still holds.
+
+        ``writes`` (``(sql, params)`` pairs) record the outcome in the
+        same transaction, so they land if and only if the lease
+        transition does.
+        """
+        with self._transaction() as db:
+            if not db.execute(
+                "UPDATE leases SET state=?, finished_at=?"
+                " WHERE kind=? AND key=? AND claims=? AND state='leased'",
+                (state, now, kind, key, epoch),
+            ).rowcount:
+                return False
+            for sql, params in writes:
+                db.execute(sql, params)
+        return True
+
+    def cancel(self, kind: str, key: str, now: float) -> str | None:
+        """Revoke a ``pending``/``leased`` key; returns its prior lease state.
+
+        Terminal keys are left untouched (``None`` is returned) —
+        cancellation must never overwrite a recorded outcome.  The
+        holder learns of it from its next refused heartbeat.
+        """
+        with self._transaction() as db:
+            row = db.execute(
+                "SELECT state FROM leases WHERE kind=? AND key=?"
+                " AND state IN ('pending', 'leased')",
+                (kind, key),
+            ).fetchone()
+            if row is None:
+                return None
+            db.execute(
+                "UPDATE leases SET state='cancelled', finished_at=?"
+                " WHERE kind=? AND key=?",
+                (now, kind, key),
+            )
+        return row[0]
+
+    def lease(self, kind: str, key: str) -> dict | None:
+        """One lease row as a dict (``claims`` is its current epoch)."""
+        cursor = self._db().execute(
+            "SELECT * FROM leases WHERE kind=? AND key=?", (kind, key)
+        )
+        row = cursor.fetchone()
+        return dict(zip([c[0] for c in cursor.description], row)) if row else None
+
+    # -- study queue -----------------------------------------------------
+    #
+    # ``studies`` rows hold the submitted StudySpec and its outcome; the
+    # lifecycle is the study's lease, and the search state lives in a
+    # per-study run ledger (tasks/checkpoints above).
+
+    def submit_study(self, study_id: str, spec: dict, now: float) -> None:
+        """Enqueue one study (``spec`` is a ``StudySpec.to_dict()``)."""
+        try:
+            with self._transaction() as db:
+                db.execute(
+                    "INSERT INTO studies (study_id, spec) VALUES (?, ?)",
+                    (study_id, json.dumps(spec, separators=(",", ":"))),
+                )
+                db.execute(
+                    "INSERT INTO leases (kind, key, queued_at) VALUES ('study', ?, ?)",
+                    (study_id, now),
+                )
         except sqlite3.IntegrityError:
             raise LedgerError(f"study {study_id!r} is already queued") from None
-        db.commit()
 
     def study(self, study_id: str) -> dict | None:
         """One study's queue row as a dict (spec parsed), or ``None``."""
         row = self._db().execute(
-            "SELECT study_id, spec, state, submitted_at, started_at,"
-            " finished_at, lease_pid, heartbeat, result, error"
-            " FROM studies WHERE study_id=?",
-            (study_id,),
+            _STUDY_SELECT + " WHERE s.study_id=?", (study_id,)
         ).fetchone()
-        return self._study_row(row) if row is not None else None
+        return _study_row(row) if row is not None else None
 
     def studies(self) -> list[dict]:
         """Every queue row, oldest submission first."""
         rows = self._db().execute(
-            "SELECT study_id, spec, state, submitted_at, started_at,"
-            " finished_at, lease_pid, heartbeat, result, error"
-            " FROM studies ORDER BY submitted_at, study_id"
+            _STUDY_SELECT + " ORDER BY l.queued_at, s.study_id"
         ).fetchall()
-        return [self._study_row(row) for row in rows]
+        return [_study_row(row) for row in rows]
 
-    @staticmethod
-    def _study_row(row) -> dict:
-        return {
-            "id": row[0],
-            "spec": json.loads(row[1]),
-            "state": row[2],
-            "submitted_at": row[3],
-            "started_at": row[4],
-            "finished_at": row[5],
-            "lease_pid": row[6],
-            "heartbeat": row[7],
-            "result": json.loads(row[8]) if row[8] else None,
-            "error": row[9],
-        }
+    def finish_study(self, study_id: str, epoch: int, result: dict, now: float) -> bool:
+        """Mark a leased study ``done`` with its result summary.
 
-    def claim_study(
-        self, pid: int, now: float, stale_after: float
-    ) -> str | None:
-        """Atomically lease the next runnable study; ``None`` if idle.
-
-        Runnable means ``queued``, or ``running`` with a lease
-        heartbeat older than ``stale_after`` seconds — i.e. abandoned
-        by a crashed server and due for resumption.  The lease is
-        taken under ``BEGIN IMMEDIATE`` so concurrent workers (threads
-        or whole servers sharing one queue file) never claim the same
-        study twice.
+        ``False`` (nothing written) when ``epoch`` no longer holds the
+        lease: the study was cancelled, or re-leased elsewhere.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT study_id FROM studies WHERE state='queued'"
-                " OR (state='running' AND (heartbeat IS NULL OR heartbeat < ?))"
-                " ORDER BY submitted_at, study_id LIMIT 1",
-                (now - stale_after,),
-            ).fetchone()
-            if row is None:
-                db.execute("ROLLBACK")
-                return None
-            db.execute(
-                "UPDATE studies SET state='running', lease_pid=?,"
-                " heartbeat=?, started_at=COALESCE(started_at, ?)"
-                " WHERE study_id=?",
-                (pid, now, now, row[0]),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return row[0]
+        return self._settle("study", study_id, epoch, "done", now, (
+            "UPDATE studies SET result=? WHERE study_id=?",
+            (json.dumps(result, separators=(",", ":")), study_id),
+        ))
 
-    def heartbeat_study(
-        self, study_id: str, now: float, pid: int | None = None
-    ) -> None:
-        """Refresh a leased study's liveness stamp.
+    def fail_study(self, study_id: str, epoch: int, error: str, now: float) -> bool:
+        """Mark a leased study ``failed`` with a diagnostic (fenced too)."""
+        return self._settle("study", study_id, epoch, "failed", now, (
+            "UPDATE studies SET error=? WHERE study_id=?", (error, study_id),
+        ))
 
-        ``pid`` (when given) re-points ``lease_pid`` at the process
-        actually executing the study — the server leases under its own
-        pid but delegates to a runner subprocess, and cancellation /
-        the durability tests need the runner's process group, not the
-        server's.
-        """
-        db = self._db()
-        if pid is None:
-            db.execute(
-                "UPDATE studies SET heartbeat=?"
-                " WHERE study_id=? AND state='running'",
-                (now, study_id),
-            )
-        else:
-            db.execute(
-                "UPDATE studies SET heartbeat=?, lease_pid=?"
-                " WHERE study_id=? AND state='running'",
-                (now, pid, study_id),
-            )
-        db.commit()
-
-    def finish_study(self, study_id: str, result: dict, now: float) -> None:
-        """Mark a running study ``done`` with its result summary."""
-        self._finish(study_id, "done", now, result=result)
-
-    def fail_study(self, study_id: str, error: str, now: float) -> None:
-        """Mark a running study ``failed`` with a diagnostic."""
-        self._finish(study_id, "failed", now, error=error)
-
-    def _finish(
-        self,
-        study_id: str,
-        state: str,
-        now: float,
-        result: dict | None = None,
-        error: str | None = None,
-    ) -> None:
-        db = self._db()
-        changed = db.execute(
-            "UPDATE studies SET state=?, finished_at=?, result=?, error=?"
-            " WHERE study_id=? AND state='running'",
-            (
-                state,
-                now,
-                json.dumps(result, separators=(",", ":")) if result is not None else None,
-                error,
-                study_id,
-            ),
-        ).rowcount
-        db.commit()
-        if not changed:
-            row = self.study(study_id)
-            raise LedgerError(
-                f"cannot mark study {study_id!r} {state}: "
-                + ("unknown study" if row is None else f"state is {row['state']!r}")
-            )
-
-    def cancel_study(self, study_id: str, now: float) -> str | None:
-        """Cancel a ``queued``/``running`` study; returns its prior state.
-
-        Terminal studies are left untouched (``None`` is returned) —
-        cancellation must never overwrite a concurrently recorded
-        ``done``/``failed`` outcome.  Killing the worker actually
-        running the study is the server's job; the queue only flips
-        the state.
-        """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT state FROM studies WHERE study_id=?"
-                " AND state IN ('queued', 'running')",
-                (study_id,),
-            ).fetchone()
-            if row is None:
-                db.execute("ROLLBACK")
-                return None
-            db.execute(
-                "UPDATE studies SET state='cancelled', finished_at=?"
-                " WHERE study_id=?",
-                (now, study_id),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return row[0]
-
-    # -- cluster task leases -----------------------------------------------
-    #
-    # The cluster backend (:mod:`repro.parallel.cluster`) promotes the
-    # ledger from checkpoint store to coordination substrate: every
-    # (label, repeat) task gets a lease row, worker processes claim
-    # the next runnable one under ``BEGIN IMMEDIATE`` (never two
-    # claimants), heartbeat while searching, and record results
-    # through :meth:`record_done_leased` — which refuses stragglers
-    # whose lease was re-issued, so no task is recorded twice.
+    # -- cluster tasks ---------------------------------------------------
 
     def seed_task_leases(self, tasks: list[tuple[str, int]]) -> None:
         """Ensure a lease row exists for every (label, repeat) task.
 
         Idempotent: existing rows (live leases of an in-flight run, or
-        ``done`` markers of a finished one) are left untouched, and
+        settled rows of a finished one) are left untouched, and live
         rows whose task already completed — e.g. under a *different*
-        backend before a resume — are marked ``done`` so the cluster's
-        progress accounting converges.
+        backend before a resume — are marked ``done``, which also
+        revokes any holder's lease.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as db:
             db.executemany(
-                "INSERT OR IGNORE INTO task_leases (label, repeat) VALUES (?, ?)",
-                [(label, int(repeat)) for label, repeat in tasks],
+                "INSERT OR IGNORE INTO leases (kind, key) VALUES ('task', ?)",
+                [(task_key(label, repeat),) for label, repeat in tasks],
             )
-            db.execute(
-                "UPDATE task_leases SET state='done' WHERE state!='done'"
-                " AND EXISTS (SELECT 1 FROM tasks t WHERE t.label=task_leases.label"
-                " AND t.repeat=task_leases.repeat AND t.status='done')"
+            db.execute(  # the SQL spelling of task_key()
+                "UPDATE leases SET state='done' WHERE kind='task'"
+                " AND state IN ('pending', 'leased') AND key IN"
+                " (SELECT label || '#' || repeat FROM tasks WHERE status='done')"
             )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
 
-    def claim_task(
-        self, worker: str, pid: int, now: float, stale_after: float
-    ) -> tuple[str, int] | None:
-        """Atomically lease the next runnable task; ``None`` if none.
-
-        Runnable means ``pending``, or ``leased`` with a heartbeat
-        older than ``stale_after`` seconds (abandoned by a crashed or
-        stalled worker, due for re-issue).  Tasks already ``done`` in
-        the ``tasks`` table are never claimable.  Deterministic claim
-        order (label, then repeat) keeps cluster scheduling easy to
-        reason about, though results never depend on it.
-        """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT label, repeat FROM task_leases"
-                " WHERE (state='pending' OR (state='leased'"
-                "   AND (heartbeat IS NULL OR heartbeat < ?)))"
-                " AND NOT EXISTS (SELECT 1 FROM tasks t"
-                "   WHERE t.label=task_leases.label"
-                "   AND t.repeat=task_leases.repeat AND t.status='done')"
-                " ORDER BY label, repeat LIMIT 1",
-                (now - stale_after,),
-            ).fetchone()
-            if row is None:
-                db.execute("ROLLBACK")
-                return None
-            db.execute(
-                "UPDATE task_leases SET state='leased', worker=?, lease_pid=?,"
-                " heartbeat=?, claims=claims+1 WHERE label=? AND repeat=?",
-                (worker, pid, now, row[0], row[1]),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return (row[0], int(row[1]))
-
-    def heartbeat_task(
-        self, label: str, repeat: int, worker: str, now: float
+    def record_leased(
+        self, label: str, repeat: int, epoch: int, result: "SearchResult", now: float
     ) -> bool:
-        """Refresh a held lease's liveness stamp.
+        """Persist a leased task's result iff ``epoch`` still holds its lease.
 
-        Returns ``False`` when the lease is no longer ours (re-issued
-        after going stale) — the worker should abandon the task; the
-        new holder owns it now, and :meth:`record_done_leased` would
-        refuse our result anyway.
+        One transaction settles the lease ``done``, writes the
+        ``tasks`` row and drops the task's checkpoint.  A straggler
+        whose lease was re-issued gets ``False`` and must discard its
+        result — the current holder records the bit-identical one.
         """
-        db = self._db()
-        changed = db.execute(
-            "UPDATE task_leases SET heartbeat=?"
-            " WHERE label=? AND repeat=? AND worker=? AND state='leased'",
-            (now, label, int(repeat), worker),
-        ).rowcount
-        db.commit()
-        return bool(changed)
-
-    def record_done_leased(
-        self, label: str, repeat: int, worker: str, result: "SearchResult"
-    ) -> bool:
-        """Persist a leased task's result iff the lease is still ours.
-
-        One transaction checks lease ownership, writes the ``tasks``
-        row, drops the task's checkpoint, and marks the lease ``done``.
-        A straggler whose lease was re-issued (its heartbeat went
-        stale and another worker claimed the task) gets ``False`` and
-        must discard its result — the current holder will record the
-        bit-identical one — so no (label, repeat) is ever recorded by
-        two workers.
-        """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
-            row = db.execute(
-                "SELECT worker FROM task_leases"
-                " WHERE label=? AND repeat=? AND state='leased'",
-                (label, int(repeat)),
-            ).fetchone()
-            if row is None or row[0] != worker:
-                db.execute("ROLLBACK")
-                return False
-            db.execute(
-                "INSERT OR REPLACE INTO tasks (label, repeat, status, result)"
-                " VALUES (?, ?, 'done', ?)",
-                (label, int(repeat), _dumps(result)),
-            )
-            db.execute(
-                "DELETE FROM checkpoints WHERE label=? AND repeat=?",
-                (label, int(repeat)),
-            )
-            db.execute(
-                "UPDATE task_leases SET state='done' WHERE label=? AND repeat=?",
-                (label, int(repeat)),
-            )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
-        return True
+        repeat = int(repeat)
+        return self._settle(
+            "task", task_key(label, repeat), epoch, "done", now,
+            ("INSERT OR REPLACE INTO tasks (label, repeat, status, result)"
+             " VALUES (?, ?, 'done', ?)", (label, repeat, _dumps(result))),
+            ("DELETE FROM checkpoints WHERE label=? AND repeat=?", (label, repeat)),
+        )
 
     def cluster_progress(self) -> dict[str, int]:
-        """Lease-state counts: total / pending / leased / done."""
+        """Task lease-state counts: total / pending / leased / done."""
         counts = {"pending": 0, "leased": 0, "done": 0}
         for state, count in self._db().execute(
-            "SELECT state, COUNT(*) FROM task_leases GROUP BY state"
+            "SELECT state, COUNT(*) FROM leases WHERE kind='task' GROUP BY state"
         ):
             counts[state] = int(count)
         counts["total"] = sum(counts.values())
         return counts
 
     def task_lease_rows(self) -> list[dict]:
-        """Every lease row as a dict, (label, repeat) order."""
-        rows = self._db().execute(
-            "SELECT label, repeat, state, worker, lease_pid, heartbeat, claims"
-            " FROM task_leases ORDER BY label, repeat"
-        ).fetchall()
-        return [
-            {
-                "label": row[0],
-                "repeat": int(row[1]),
-                "state": row[2],
-                "worker": row[3],
-                "lease_pid": row[4],
-                "heartbeat": row[5],
-                "claims": int(row[6]),
-            }
-            for row in rows
+        """Every task lease row as a dict, (label, repeat) order."""
+        rows = [
+            dict(zip(("label", "repeat"), parse_task_key(key)), state=state,
+                 worker=holder, lease_pid=pid, heartbeat=heartbeat, claims=claims)
+            for key, state, holder, pid, heartbeat, claims in self._db().execute(
+                "SELECT key, state, holder, pid, heartbeat, claims"
+                " FROM leases WHERE kind='task'"
+            )
         ]
+        return sorted(rows, key=lambda row: (row["label"], row["repeat"]))
 
     # -- execution records -------------------------------------------------
     def record_execution(self, entry: dict) -> None:
@@ -795,9 +766,7 @@ class RunLedger:
         which backend actually executed each of its runs, not just
         what its spec asked for.
         """
-        db = self._db()
-        db.execute("BEGIN IMMEDIATE")
-        try:
+        with self._transaction() as db:
             row = db.execute(
                 "SELECT value FROM meta WHERE key='executions'"
             ).fetchone()
@@ -808,10 +777,6 @@ class RunLedger:
                 " VALUES ('executions', ?)",
                 (json.dumps(entries, separators=(",", ":")),),
             )
-            db.execute("COMMIT")
-        except BaseException:
-            db.execute("ROLLBACK")
-            raise
 
     def executions(self) -> list[dict]:
         """Every recorded backend execution, oldest first."""

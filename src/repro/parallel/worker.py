@@ -58,8 +58,8 @@ def _build_parser(prog: str | None = None) -> argparse.ArgumentParser:
     parser.add_argument(
         "--ledger",
         required=True,
-        help="run-ledger file of the coordinating run (its task_leases "
-        "table is the cluster's coordination substrate)",
+        help="run-ledger file of the coordinating run (its lease table "
+        "is the cluster's coordination substrate)",
     )
     parser.add_argument(
         "--cache",

@@ -10,14 +10,14 @@
                                         (evaluator, hardware) identity
 
 Every queue transition — submit, lease, heartbeat, finish, cancel —
-is one committed sqlite transaction (see
-:meth:`repro.parallel.RunLedger.submit_study` and friends), so the
-queue inherits the ledger's crash-safety story: a SIGKILLed server
-loses only its in-memory worker pool.  On the next boot the workers
-re-lease every ``running`` study whose heartbeat went stale and the
-per-study ledger resumes the search from its last checkpoint —
-bit-identical to an uninterrupted run (the kill/resume guarantee
-``run_grid`` already proves for local runs).
+is one committed sqlite transaction on the ledger's one lease
+primitive (kind ``study``; see :meth:`repro.parallel.RunLedger.claim`
+and friends), so the queue inherits the ledger's crash-safety story:
+a SIGKILLed server loses only its in-memory worker pool.  On the next
+boot the workers re-lease every ``running`` study whose heartbeat went
+stale and the per-study ledger resumes the search from its last
+checkpoint — bit-identical to an uninterrupted run (the kill/resume
+guarantee ``run_grid`` already proves for local runs).
 
 Studies execute in **runner subprocesses** (``python -m
 repro.server.runner``), each in its own session/process group.  That
@@ -25,6 +25,14 @@ buys two things threads cannot: cancellation is a real ``killpg`` (a
 study stuck in native code still dies), and a crashing study can
 never take the server down with it.  Worker threads only lease,
 spawn, heartbeat, and reconcile.
+
+Leases are fenced.  A claim returns the study's lease epoch, the
+worker hands it to its runner (``--epoch``), and every heartbeat and
+the runner's final finish/fail name it.  When a heartbeat is refused
+— the study was cancelled, or re-leased by another server while this
+one was paused or partitioned past ``stale_after`` — the worker kills
+its runner's process group and records nothing; the current holder's
+runner owns the study now.
 
 Sqlite connections are neither thread- nor fork-safe, so no
 :class:`~repro.parallel.RunLedger` instance ever crosses a thread
@@ -39,6 +47,7 @@ import importlib
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -46,11 +55,7 @@ import time
 from pathlib import Path
 
 from repro.core.study import StudySpec, new_study_id
-from repro.parallel.ledger import (
-    TERMINAL_STUDY_STATES,
-    LedgerError,
-    RunLedger,
-)
+from repro.parallel.ledger import STUDY_STATE_OF, RunLedger
 
 __all__ = ["StudyQueue"]
 
@@ -149,16 +154,16 @@ class StudyQueue:
         ``None`` means the study is unknown or already terminal (the
         caller distinguishes via :meth:`status`).  A study running
         under *this* server is killed outright; one leased by another
-        server just flips state, and that runner's final
-        ``finish_study`` is refused by the ledger.
+        server is revoked, and that server kills its runner when its
+        next heartbeat is refused.
         """
-        prior = self.open_ledger().cancel_study(study_id, time.time())
-        if prior == "running":
+        prior = self.open_ledger().cancel("study", study_id, time.time())
+        if prior == "leased":
             with self._lock:
                 proc = self._procs.get(study_id)
             if proc is not None:
                 _kill_group(proc)
-        return prior
+        return STUDY_STATE_OF.get(prior)
 
     def list_studies(self) -> list[dict]:
         """Brief docs for every queue row, oldest submission first."""
@@ -271,24 +276,22 @@ class StudyQueue:
 
     def _worker_loop(self) -> None:
         ledger = self.open_ledger()
+        holder = f"{socket.gethostname()}-{os.getpid()}"
         while not self._stop.is_set():
-            study_id = ledger.claim_study(
-                os.getpid(), time.time(), self.stale_after
+            claim = ledger.claim(
+                "study", holder, os.getpid(), time.time(), self.stale_after
             )
-            if study_id is None:
+            if claim is None:
                 self._stop.wait(self.poll_every)
                 continue
-            self._run_one(ledger, study_id)
+            self._run_one(ledger, *claim)
 
-    def _run_one(self, ledger: RunLedger, study_id: str) -> None:
+    def _run_one(self, ledger: RunLedger, study_id: str, epoch: int) -> None:
         """Spawn the runner for one leased study and shepherd it."""
         try:
-            spec = self._spec_of(ledger, study_id)
+            spec = StudySpec.from_dict(ledger.study(study_id)["spec"])
         except Exception as err:  # hand-edited queue row; submit validated
-            try:
-                ledger.fail_study(study_id, f"invalid spec: {err}", time.time())
-            except LedgerError:
-                pass
+            ledger.fail_study(study_id, epoch, f"invalid spec: {err}", time.time())
             return
         cmd = [
             sys.executable,
@@ -298,6 +301,8 @@ class StudyQueue:
             str(self.queue_path),
             "--study-id",
             study_id,
+            "--epoch",
+            str(epoch),
             "--ledger",
             str(self.study_ledger_path(study_id)),
             "--cache",
@@ -319,7 +324,8 @@ class StudyQueue:
             # Own session => own process group: killpg reaches the
             # runner and any process-pool children it forked, and the
             # runner outlives a crashing server (its last checkpoint
-            # still lands before the stale lease is reclaimed).
+            # still lands before the stale lease is reclaimed; its
+            # finish is refused once the lease has moved on).
             proc = subprocess.Popen(
                 cmd,
                 stdout=log_file,
@@ -330,35 +336,35 @@ class StudyQueue:
         with self._lock:
             self._procs[study_id] = proc
         try:
-            ledger.heartbeat_study(study_id, time.time(), pid=proc.pid)
-            while proc.poll() is None:
+            held = ledger.heartbeat("study", study_id, epoch, time.time(), pid=proc.pid)
+            while held and proc.poll() is None:
                 if self._stop.wait(self.heartbeat_every):
                     _kill_group(proc)
                     proc.wait()
                     return  # stays 'running'; reclaimed on next boot
-                ledger.heartbeat_study(study_id, time.time(), pid=proc.pid)
+                held = ledger.heartbeat(
+                    "study", study_id, epoch, time.time(), pid=proc.pid
+                )
+            lease = ledger.lease("study", study_id)
+            ours = lease["claims"] == epoch
+            if not ours or lease["state"] == "cancelled":
+                # Re-leased while this server was paused or partitioned,
+                # or cancelled: the study is not ours to run any more.
+                # (A lease our own runner just settled is left to exit.)
+                _kill_group(proc)
+            proc.wait()
         finally:
             with self._lock:
                 self._procs.pop(study_id, None)
-        row = ledger.study(study_id)
-        if row is not None and row["state"] == "running":
+        if ours and lease["state"] == "leased":
             # The runner died without reporting (segfault, OOM kill,
             # unhandled exit) — record the failure with its log tail.
+            # Fenced: a cancel or re-lease since then wins.
             message = f"runner exited with code {proc.returncode}"
             tail = _log_tail(log_path)
             if tail:
                 message += "\n" + tail
-            try:
-                ledger.fail_study(study_id, message, time.time())
-            except LedgerError:
-                pass  # lost a race with cancel/reclaim; their word stands
-
-    @staticmethod
-    def _spec_of(ledger: RunLedger, study_id: str) -> StudySpec:
-        return StudySpec.from_dict(ledger.study(study_id)["spec"])
-
-    def is_terminal(self, state: str) -> bool:
-        return state in TERMINAL_STUDY_STATES
+            ledger.fail_study(study_id, epoch, message, time.time())
 
 
 def _kill_group(proc: subprocess.Popen) -> None:

@@ -5,12 +5,17 @@ The server's worker threads never run searches themselves — they spawn
 only heartbeat the lease while it lives.  This process loads the
 queued spec, runs it through :func:`repro.core.study.run_study`
 against the study's *own* run ledger (so every repeat and checkpoint
-is crash-safe), and reports the terminal state back to the queue:
+is crash-safe), and reports the terminal state back to the queue
+under the lease epoch its worker claimed (``--epoch``):
 
 * success    -> ``finish_study`` with the JSON outcome summary
 * exception  -> ``fail_study`` with the traceback tail
 * SIGKILL    -> nothing; the queue row stays ``running`` with a stale
   heartbeat and the next worker to reclaim it resumes from the ledger
+
+Both reports are fenced: if the study was cancelled or re-leased under
+a newer epoch meanwhile, the queue refuses them and the runner exits
+with status 3, its result discarded.
 
 ``--import MODULE`` (repeatable) imports plugin modules before the
 spec is materialized, so deployments can register extra accuracy
@@ -36,6 +41,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--queue", required=True, type=Path)
     parser.add_argument("--study-id", required=True)
+    parser.add_argument("--epoch", required=True, type=int)
     parser.add_argument("--ledger", required=True, type=Path)
     parser.add_argument("--cache", required=True, type=Path)
     parser.add_argument("--scale", default=None)
@@ -47,7 +53,7 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.core.study import StudySpec, outcome_summary, run_study
     from repro.experiments.common import Scale
-    from repro.parallel.ledger import LedgerError, RunLedger
+    from repro.parallel.ledger import RunLedger
 
     queue = RunLedger(args.queue)
     row = queue.study(args.study_id)
@@ -65,22 +71,18 @@ def main(argv: list[str] | None = None) -> int:
     except BaseException:
         error = traceback.format_exc()
         print(error, file=sys.stderr)
-        try:
-            queue.fail_study(args.study_id, error[-2000:], time.time())
-        except LedgerError:
-            pass  # cancelled or reclaimed while we were dying
+        # Refused if cancelled or re-leased while we were dying.
+        queue.fail_study(args.study_id, args.epoch, error[-2000:], time.time())
         return 1
     payload = {
         "name": spec.name,
         "scale": scale.name,
         "outcomes": outcome_summary(result),
     }
-    try:
-        queue.finish_study(args.study_id, payload, time.time())
-    except LedgerError as err:
-        # Cancelled (or reclaimed as stale) after the work finished:
-        # the queue's word stands, this result is discarded.
-        print(f"result discarded: {err}", file=sys.stderr)
+    if not queue.finish_study(args.study_id, args.epoch, payload, time.time()):
+        # Cancelled, or re-leased under a newer epoch, after the work
+        # finished: the queue's word stands, this result is discarded.
+        print(f"result discarded: lease epoch {args.epoch} was revoked", file=sys.stderr)
         return 3
     return 0
 

@@ -47,8 +47,11 @@ def lease_rows(ledger_path: Path) -> list[dict]:
     try:
         with sqlite3.connect(ledger_path, timeout=0.1) as conn:
             rows = conn.execute(
-                "SELECT label, repeat, state, worker, lease_pid, claims"
-                " FROM task_leases ORDER BY label, repeat"
+                # Task lease keys are '<label>#<repeat>'.
+                "SELECT substr(key, 1, length(rtrim(key, '0123456789')) - 1),"
+                " CAST(substr(key, length(rtrim(key, '0123456789')) + 1) AS INTEGER),"
+                " state, holder, pid, claims"
+                " FROM leases WHERE kind='task' ORDER BY 1, 2"
             ).fetchall()
     except sqlite3.Error:
         return []

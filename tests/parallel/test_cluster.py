@@ -1,5 +1,7 @@
 """Tests for the ledger-leased cluster backend and its lease protocol."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from repro.core.search_space import JointSearchSpace
 from repro.experiments.search_study import make_bundle_evaluator
 from repro.parallel import RunLedger
 from repro.parallel.cluster import ClusterBackend, run_worker
-from repro.parallel.ledger import LedgerError
+from repro.parallel.ledger import LedgerError, parse_task_key, task_key
 from repro.search.random_search import RandomSearch
 from repro.search.runner import RepeatJob, run_grid
 
@@ -44,6 +46,10 @@ def two_job_grid(bundle):
     return jobs
 
 
+def claim(ledger, worker, pid, now, stale_after=10.0):
+    return ledger.claim("task", worker, pid, now, stale_after)
+
+
 class TestLeaseProtocol:
     TASKS = [("a", 0), ("a", 1), ("b", 0)]
 
@@ -56,13 +62,16 @@ class TestLeaseProtocol:
 
     def test_claim_order_is_deterministic(self, ledger):
         ledger.seed_task_leases(self.TASKS)
-        claims = [ledger.claim_task("w", 1, now=100.0, stale_after=10.0)
-                  for _ in range(4)]
-        assert claims == [("a", 0), ("a", 1), ("b", 0), None]
+        claims = [claim(ledger, "w", 1, now=100.0) for _ in range(4)]
+        assert claims == [("a#0", 1), ("a#1", 1), ("b#0", 1), None]
+
+    def test_task_keys_round_trip(self):
+        for label, repeat in [("a", 0), ("fig5/x#1", 12)]:
+            assert parse_task_key(task_key(label, repeat)) == (label, repeat)
 
     def test_claim_records_holder(self, ledger):
         ledger.seed_task_leases(self.TASKS)
-        ledger.claim_task("w1", 42, now=100.0, stale_after=10.0)
+        claim(ledger, "w1", 42, now=100.0)
         row = ledger.task_lease_rows()[0]
         assert (row["state"], row["worker"], row["lease_pid"], row["claims"]) == (
             "leased", "w1", 42, 1
@@ -70,50 +79,50 @@ class TestLeaseProtocol:
 
     def test_fresh_lease_not_reclaimable(self, ledger):
         ledger.seed_task_leases(self.TASKS[:1])
-        assert ledger.claim_task("w1", 1, now=100.0, stale_after=10.0) == ("a", 0)
+        assert claim(ledger, "w1", 1, now=100.0) == ("a#0", 1)
         # Heartbeat is only 5s old: not runnable for anyone else.
-        assert ledger.claim_task("w2", 2, now=105.0, stale_after=10.0) is None
+        assert claim(ledger, "w2", 2, now=105.0) is None
 
     def test_stale_lease_reissued_and_claims_counted(self, ledger):
         ledger.seed_task_leases(self.TASKS[:1])
-        ledger.claim_task("w1", 1, now=100.0, stale_after=10.0)
-        assert ledger.claim_task("w2", 2, now=111.0, stale_after=10.0) == ("a", 0)
+        claim(ledger, "w1", 1, now=100.0)
+        assert claim(ledger, "w2", 2, now=111.0) == ("a#0", 2)
         row = ledger.task_lease_rows()[0]
         assert (row["worker"], row["claims"]) == ("w2", 2)
 
     def test_heartbeat_false_after_reissue(self, ledger):
         ledger.seed_task_leases(self.TASKS[:1])
-        ledger.claim_task("w1", 1, now=100.0, stale_after=10.0)
-        assert ledger.heartbeat_task("a", 0, "w1", now=101.0)
-        ledger.claim_task("w2", 2, now=115.0, stale_after=10.0)
-        assert not ledger.heartbeat_task("a", 0, "w1", now=116.0)
-        assert ledger.heartbeat_task("a", 0, "w2", now=116.0)
+        _, first = claim(ledger, "w1", 1, now=100.0)
+        assert ledger.heartbeat("task", "a#0", first, now=101.0)
+        _, second = claim(ledger, "w2", 2, now=115.0)
+        assert not ledger.heartbeat("task", "a#0", first, now=116.0)
+        assert ledger.heartbeat("task", "a#0", second, now=116.0)
 
     def test_straggler_record_refused(self, ledger, small_result):
         ledger.seed_task_leases(self.TASKS[:1])
-        ledger.claim_task("w1", 1, now=100.0, stale_after=10.0)
-        ledger.claim_task("w2", 2, now=111.0, stale_after=10.0)  # re-issue
+        _, first = claim(ledger, "w1", 1, now=100.0)
+        _, second = claim(ledger, "w2", 2, now=111.0)  # re-issue
         # w1 limps back after losing the lease: refused, nothing written.
-        assert not ledger.record_done_leased("a", 0, "w1", small_result)
+        assert not ledger.record_leased("a", 0, first, small_result, now=112.0)
         assert ledger.load_result("a", 0) is None
         # The current holder's record lands, exactly once.
-        assert ledger.record_done_leased("a", 0, "w2", small_result)
+        assert ledger.record_leased("a", 0, second, small_result, now=113.0)
         assert ledger.load_result("a", 0) is not None
         assert ledger.task_lease_rows()[0]["state"] == "done"
         # ...and a later duplicate from anyone is refused too.
-        assert not ledger.record_done_leased("a", 0, "w2", small_result)
+        assert not ledger.record_leased("a", 0, second, small_result, now=114.0)
 
     def test_done_task_never_reclaimed(self, ledger, small_result):
         ledger.seed_task_leases(self.TASKS[:1])
-        ledger.claim_task("w1", 1, now=100.0, stale_after=10.0)
-        ledger.record_done_leased("a", 0, "w1", small_result)
-        assert ledger.claim_task("w2", 2, now=200.0, stale_after=10.0) is None
+        _, epoch = claim(ledger, "w1", 1, now=100.0)
+        ledger.record_leased("a", 0, epoch, small_result, now=101.0)
+        assert claim(ledger, "w2", 2, now=200.0) is None
 
     def test_cluster_progress_counts(self, ledger, small_result):
         ledger.seed_task_leases(self.TASKS)
-        ledger.claim_task("w1", 1, now=100.0, stale_after=10.0)
-        ledger.record_done_leased("a", 0, "w1", small_result)
-        ledger.claim_task("w1", 1, now=101.0, stale_after=10.0)
+        _, epoch = claim(ledger, "w1", 1, now=100.0)
+        ledger.record_leased("a", 0, epoch, small_result, now=100.5)
+        claim(ledger, "w1", 1, now=101.0)
         assert ledger.cluster_progress() == {
             "pending": 1, "leased": 1, "done": 1, "total": 3
         }
@@ -125,7 +134,34 @@ class TestLeaseProtocol:
         ledger.record_done("a", 0, small_result)
         ledger.seed_task_leases([])
         assert ledger.task_lease_rows()[0]["state"] == "done"
-        assert ledger.claim_task("w", 1, now=100.0, stale_after=10.0) is None
+        assert claim(ledger, "w", 1, now=100.0) is None
+
+    def test_out_of_band_completion_revokes_a_live_lease(self, ledger, small_result):
+        ledger.seed_task_leases(self.TASKS[:1])
+        _, epoch = claim(ledger, "w1", 1, now=100.0)
+        ledger.record_done("a", 0, small_result)
+        ledger.seed_task_leases([])
+        assert not ledger.heartbeat("task", "a#0", epoch, now=101.0)
+
+
+class TestTaskLeaseFencing:
+    def test_aba_reclaim_refuses_the_first_epoch(self, ledger, small_result):
+        # w1 claims, stalls; w2 re-claims, stalls; w1 re-claims.  w1's
+        # first heartbeat thread and first search must both be refused
+        # even though the lease names w1 again.
+        ledger.seed_task_leases([("a", 0)])
+        _, e1 = claim(ledger, "w1", 1, now=100.0)
+        _, e2 = claim(ledger, "w2", 2, now=111.0)
+        _, e3 = claim(ledger, "w1", 1, now=122.0)
+        assert e1 < e2 < e3
+        assert ledger.task_lease_rows()[0]["worker"] == "w1"
+        assert not ledger.heartbeat("task", "a#0", e1, now=123.0)
+        assert not ledger.heartbeat("task", "a#0", e2, now=123.0)
+        assert not ledger.record_leased("a", 0, e1, small_result, now=124.0)
+        assert ledger.load_result("a", 0) is None
+        assert ledger.heartbeat("task", "a#0", e3, now=124.0)
+        assert ledger.record_leased("a", 0, e3, small_result, now=125.0)
+        assert ledger.task_lease_rows()[0]["claims"] == 3
 
 
 class TestRunWorker:
@@ -157,6 +193,52 @@ class TestRunWorker:
             jobs, ledger, num_steps=10, num_repeats=2, max_tasks=1
         ) == 1
         assert ledger.cluster_progress()["done"] == 1
+
+    def test_revoked_worker_stops_at_next_checkpoint(
+        self, ledger, micro4_bundle, small_result
+    ):
+        space = JointSearchSpace(cell_encoding=micro4_bundle.cell_encoding)
+        scenario = unconstrained(micro4_bundle.bounds)
+        asks = []
+
+        class StolenMidway(RandomSearch):
+            def ask(self, n):
+                asks.append(n)
+                if len(asks) == 3:
+                    # The worker looks stalled to another one, which
+                    # re-issues the lease and settles the task.
+                    thief = RunLedger(ledger.path)
+                    key, epoch = thief.claim(
+                        "task", "thief", 0, time.time() + 60.0, 10.0
+                    )
+                    assert thief.record_leased(
+                        "u", 0, epoch, small_result, time.time()
+                    )
+                    thief.close()
+                    time.sleep(0.5)  # many refused heartbeats' worth
+                return super().ask(n)
+
+        jobs = [
+            RepeatJob(
+                label="u",
+                strategy_factory=lambda seed: StolenMidway(space, seed=seed),
+                evaluator_factory=lambda: make_bundle_evaluator(
+                    micro4_bundle, scenario
+                ),
+            )
+        ]
+        recorded = run_worker(
+            jobs, ledger, num_steps=50, num_repeats=1,
+            checkpoint_every=1, heartbeat_every=0.02,
+        )
+        # Stopped at the checkpoint save right after the theft, not
+        # after 50 steps, and recorded nothing over the thief's result.
+        assert recorded == 0
+        assert len(asks) == 3
+        assert ledger.load_checkpoint("u", 0) is None
+        assert len(ledger.load_result("u", 0).archive.entries) == len(
+            small_result.archive.entries
+        )
 
     def test_worker_results_feed_a_later_grid_run(
         self, ledger, micro4_bundle

@@ -92,9 +92,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.core.scenarios import ScenarioError, resolve_scenarios
+from repro.core.scenarios import ScenarioError, load_scenario_file
 from repro.core.study import (
     StudyError,
+    StudySpec,
     outcome_summary,
     parse_assignments,
     run_study,
@@ -105,8 +106,7 @@ from repro.experiments.fig4 import run_fig4
 from repro.experiments.fig5 import run_fig5
 from repro.experiments.fig6 import run_fig6
 from repro.experiments.fig7 import run_fig7
-from repro.experiments.presets import list_presets, resolve_spec
-from repro.experiments.search_study import _run_search_study
+from repro.experiments.presets import get_preset, list_presets, resolve_spec
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.table3 import run_table3
@@ -124,29 +124,22 @@ __all__ = ["main", "RunContext", "EXPERIMENTS"]
 
 @dataclass
 class RunContext:
-    """Everything an experiment runner needs from the command line."""
+    """Everything an experiment runner needs from the command line.
+
+    ``spec`` is the search study fig5/fig6/fig5+6 run: the
+    ``search-study`` preset with the run flags applied as overrides;
+    its ``execution.master_seed`` is the ``--seed`` every experiment
+    reads.  ``eval_cache`` and ``ledger`` are live objects handed to
+    :func:`~repro.core.study.run_study`, so the spec keeps its
+    ``cache``/``ledger`` paths null.  ``hardware`` is fig7's platform.
+    """
 
     scale: Scale
-    seed: int
-    workers: int | None = None
+    spec: StudySpec
     eval_cache: EvalCache | None = None
-    scenarios: dict | None = None
-    batch_size: int = 1
     ledger: RunLedger | None = None
-    checkpoint_every: int = 10
     hardware: str | None = None
-    tensorize: bool = False
-    surrogate: bool = False
-    exact_fraction: float = 0.25
-    backend_name: str | None = None
     _study: object = None
-
-    @property
-    def backend(self) -> str:
-        """The requested --backend, else derived from --workers."""
-        if self.backend_name is not None:
-            return self.backend_name
-        return "process" if (self.workers or 1) > 1 else "serial"
 
     def study(self):
         """The Fig. 5/6 search study, computed once per invocation.
@@ -155,21 +148,12 @@ class RunContext:
         run instead of three identical ones.
         """
         if self._study is None:
-            self._study = _run_search_study(
-                load_bundle(),
-                self.scale,
-                scenarios=self.scenarios,
-                master_seed=self.seed,
-                backend=self.backend,
-                workers=self.workers,
+            self._study = run_study(
+                self.spec,
+                bundle=load_bundle(),
+                scale=self.scale,
                 eval_cache=self.eval_cache,
-                batch_size=self.batch_size,
                 ledger=self.ledger,
-                checkpoint_every=self.checkpoint_every,
-                hardware=self.hardware,
-                tensorize=self.tensorize,
-                surrogate=self.surrogate,
-                exact_fraction=self.exact_fraction,
             )
         return self._study
 
@@ -179,7 +163,7 @@ def _run_table1(ctx: RunContext) -> str:
 
 
 def _run_validation(ctx: RunContext) -> str:
-    return run_validation(seed=ctx.seed or 7).to_markdown()
+    return run_validation(seed=ctx.spec.execution.master_seed or 7).to_markdown()
 
 
 def _run_fig4(ctx: RunContext) -> str:
@@ -206,7 +190,7 @@ def _run_fig56(ctx: RunContext) -> str:
 def _run_fig7(ctx: RunContext) -> str:
     fig7 = run_fig7(
         scale=ctx.scale,
-        seed=ctx.seed,
+        seed=ctx.spec.execution.master_seed,
         train_store=ctx.eval_cache,
         platform=build_platform(ctx.hardware) if ctx.hardware else None,
     )
@@ -797,31 +781,71 @@ def _main_workload(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _resolve_cli_spec(args, parser: argparse.ArgumentParser):
-    """Resolve PRESET|SPEC.json + --hardware/--tensorize/--set to a spec."""
-    try:
-        spec = resolve_spec(args.spec)
-        if args.hardware is not None:
-            spec = spec.with_overrides({"hardware": {"name": args.hardware}})
-        if args.workload is not None:
-            spec = spec.with_overrides({"workload": args.workload})
-        if args.tensorize:
-            spec = spec.with_overrides({"execution.tensorize": True})
-        if args.exact_fraction is not None and not args.surrogate:
-            parser.error("--exact-fraction requires --surrogate (it only "
+def _apply_flags(spec: StudySpec, args, overrides: dict) -> StudySpec:
+    """``spec`` with the shorthand flags, then ``overrides``, applied.
+
+    The one flag -> override translation behind 'study', 'submit' and
+    'run': --hardware (applied first, so later overrides can refine
+    it), --workload, --tensorize, --surrogate and --exact-fraction.
+    Invalid values raise :class:`StudyError`.
+    """
+    if args.hardware is not None:
+        spec = spec.with_overrides({"hardware": {"name": args.hardware}})
+    if getattr(args, "workload", None) is not None:
+        spec = spec.with_overrides({"workload": args.workload})
+    if args.exact_fraction is not None and not args.surrogate:
+        raise StudyError("--exact-fraction requires --surrogate (it only "
                          "shapes the two-tier filtering batches)")
-        if args.surrogate:
-            spec = spec.with_overrides({"execution.surrogate": True})
-        if args.exact_fraction is not None:
-            spec = spec.with_overrides(
-                {"execution.exact_fraction": args.exact_fraction}
-            )
-        overrides = parse_assignments(args.overrides)
-        if overrides:
-            spec = spec.with_overrides(overrides)
+    shorthands = {}
+    if args.tensorize:
+        shorthands["execution.tensorize"] = True
+    if args.surrogate:
+        shorthands["execution.surrogate"] = True
+    if args.exact_fraction is not None:
+        shorthands["execution.exact_fraction"] = args.exact_fraction
+    assignments = {**shorthands, **overrides}
+    return spec.with_overrides(assignments) if assignments else spec
+
+
+def _resolve_cli_spec(args, parser: argparse.ArgumentParser) -> StudySpec:
+    """Resolve PRESET|SPEC.json + the shorthand flags + --set to a spec."""
+    try:
+        return _apply_flags(
+            resolve_spec(args.spec), args, parse_assignments(args.overrides)
+        )
     except StudyError as err:
         parser.error(str(err))
-    return spec
+
+
+def _run_spec(args, parser: argparse.ArgumentParser) -> StudySpec:
+    """The ``search-study`` spec 'repro run|resume' hands to run_study.
+
+    Every study flag becomes an override: --seed/--batch-size/
+    --checkpoint-every/--workers/--backend set ``execution`` fields
+    (--workers N>1 picks the process backend unless --backend says
+    otherwise), --scenario names and --scenario-file specs replace the
+    paper's three scenarios.  The spec validates here, before any
+    bundle loads.
+    """
+    overrides = {
+        "execution.master_seed": args.seed,
+        "execution.batch_size": args.batch_size,
+        "execution.checkpoint_every": args.checkpoint_every,
+        "execution.workers": args.workers,
+        "execution.backend": args.backend
+        or ("process" if (args.workers or 1) > 1 else "serial"),
+    }
+    try:
+        if args.scenario or args.scenario_file:
+            from_file = (
+                load_scenario_file(args.scenario_file).values()
+                if args.scenario_file is not None
+                else ()
+            )
+            overrides["scenarios"] = [*(args.scenario or ()), *from_file]
+        return _apply_flags(get_preset("search-study"), args, overrides)
+    except (ScenarioError, StudyError) as err:
+        parser.error(str(err))
 
 
 def _main_study(args, parser: argparse.ArgumentParser) -> int:
@@ -964,6 +988,87 @@ def _main_server_client(args, parser: argparse.ArgumentParser) -> int:
     raise AssertionError(f"unhandled server command {args.command!r}")
 
 
+def _selected(args) -> list[str]:
+    """The experiments a 'run|resume' invocation names."""
+    return list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+
+
+def _run_context(args, parser: argparse.ArgumentParser) -> RunContext:
+    """Check the 'run|resume' flags and build the context (runs nothing)."""
+    if args.command == "resume":
+        if args.ledger is None:
+            parser.error("resume requires --ledger FILE (the ledger of the "
+                         "interrupted run)")
+        if not args.ledger.exists():
+            parser.error(f"no ledger at {args.ledger} — nothing to resume "
+                         "(start the run with 'repro run ... --ledger')")
+
+    # --scenario / --scenario-file / --batch-size / --ledger only drive
+    # the search-study experiments; reject runs where they would
+    # silently change nothing (results-changing flags must never no-op).
+    selected = _selected(args)
+    study_flags = []
+    if args.scenario or args.scenario_file:
+        study_flags.append("--scenario/--scenario-file")
+    if args.batch_size != 1:
+        study_flags.append("--batch-size")
+    if args.ledger is not None:
+        study_flags.append("--ledger")
+    if args.tensorize:
+        study_flags.append("--tensorize")
+    if args.surrogate:
+        study_flags.append("--surrogate")
+    if args.backend is not None:
+        study_flags.append("--backend")
+        if args.backend == "cluster" and args.ledger is None:
+            parser.error(
+                "--backend cluster requires --ledger FILE: workers "
+                "coordinate through the ledger's task-lease table"
+            )
+    if study_flags:
+        uses_study = [name for name in selected if name in STUDY_EXPERIMENTS]
+        if not uses_study:
+            parser.error(
+                f"{' and '.join(study_flags)} only affect the search-study "
+                f"experiments ({', '.join(STUDY_EXPERIMENTS)}); "
+                f"'{args.experiment}' would ignore them"
+            )
+        ignored = [name for name in selected if name not in STUDY_EXPERIMENTS]
+        if ignored:
+            print(
+                f"note: {' and '.join(study_flags)} affect only "
+                f"{', '.join(uses_study)}; {', '.join(ignored)} run unchanged",
+                file=sys.stderr,
+            )
+    if args.hardware is not None:
+        uses_hw = [name for name in selected if name in HARDWARE_EXPERIMENTS]
+        if not uses_hw:
+            parser.error(
+                f"--hardware only affects the platform-evaluating "
+                f"experiments ({', '.join(HARDWARE_EXPERIMENTS)}); "
+                f"'{args.experiment}' would ignore it"
+            )
+        ignored = [name for name in selected if name not in HARDWARE_EXPERIMENTS]
+        if ignored:
+            print(
+                f"note: --hardware affects only {', '.join(uses_hw)}; "
+                f"{', '.join(ignored)} run unchanged",
+                file=sys.stderr,
+            )
+
+    return RunContext(
+        scale=_resolve_scale(args.scale),
+        spec=_run_spec(args, parser),
+        eval_cache=(
+            EvalCache(eval_cache_path(args.cache_dir))
+            if args.cache_dir is not None
+            else None
+        ),
+        ledger=RunLedger(args.ledger) if args.ledger is not None else None,
+        hardware=args.hardware,
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     if argv[:1] == ["worker"]:
@@ -984,123 +1089,14 @@ def main(argv: list[str] | None = None) -> int:
         return _main_serve(args, parser)
     if args.command in ("submit", "status", "watch", "cancel"):
         return _main_server_client(args, parser)
-    if getattr(args, "workers", None) is not None and args.workers < 1:
-        parser.error(f"--workers must be >= 1, got {args.workers}")
-    if getattr(args, "batch_size", 1) < 1:
-        parser.error(f"--batch-size must be >= 1, got {args.batch_size}")
-    if getattr(args, "checkpoint_every", 1) < 1:
-        parser.error(f"--checkpoint-every must be >= 1, got {args.checkpoint_every}")
     if args.command == "list":
         for name in EXPERIMENTS:
             print(name)
         return 0
-    if args.command == "resume":
-        if args.ledger is None:
-            parser.error("resume requires --ledger FILE (the ledger of the "
-                         "interrupted run)")
-        if not args.ledger.exists():
-            parser.error(f"no ledger at {args.ledger} — nothing to resume "
-                         "(start the run with 'repro run ... --ledger')")
-
-    # --scenario / --scenario-file / --batch-size / --ledger only drive
-    # the search-study experiments; reject runs where they would
-    # silently change nothing (results-changing flags must never no-op).
-    study_flags = []
-    if args.scenario or args.scenario_file:
-        study_flags.append("--scenario/--scenario-file")
-    if args.batch_size != 1:
-        study_flags.append("--batch-size")
-    if args.ledger is not None:
-        study_flags.append("--ledger")
-    if args.tensorize:
-        study_flags.append("--tensorize")
-    if getattr(args, "exact_fraction", None) is not None and not args.surrogate:
-        parser.error("--exact-fraction requires --surrogate (it only shapes "
-                     "the two-tier filtering batches)")
-    if args.surrogate:
-        study_flags.append("--surrogate")
-        if not 0.0 < (args.exact_fraction or 0.25) <= 1.0:
-            parser.error(
-                f"--exact-fraction must be in (0, 1], got {args.exact_fraction}"
-            )
-    if args.backend is not None:
-        study_flags.append("--backend")
-        if args.backend == "cluster" and args.ledger is None:
-            parser.error(
-                "--backend cluster requires --ledger FILE: workers "
-                "coordinate through the ledger's task-lease table"
-            )
-    if study_flags:
-        selected = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-        uses_study = [name for name in selected if name in STUDY_EXPERIMENTS]
-        if not uses_study:
-            parser.error(
-                f"{' and '.join(study_flags)} only affect the search-study "
-                f"experiments ({', '.join(STUDY_EXPERIMENTS)}); "
-                f"'{args.experiment}' would ignore them"
-            )
-        ignored = [name for name in selected if name not in STUDY_EXPERIMENTS]
-        if ignored:
-            print(
-                f"note: {' and '.join(study_flags)} affect only "
-                f"{', '.join(uses_study)}; {', '.join(ignored)} run unchanged",
-                file=sys.stderr,
-            )
-    if args.hardware is not None:
-        try:
-            get_platform(args.hardware)
-        except HardwarePlatformError as err:
-            parser.error(str(err))
-        selected = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-        uses_hw = [name for name in selected if name in HARDWARE_EXPERIMENTS]
-        if not uses_hw:
-            parser.error(
-                f"--hardware only affects the platform-evaluating "
-                f"experiments ({', '.join(HARDWARE_EXPERIMENTS)}); "
-                f"'{args.experiment}' would ignore it"
-            )
-        ignored = [name for name in selected if name not in HARDWARE_EXPERIMENTS]
-        if ignored:
-            print(
-                f"note: --hardware affects only {', '.join(uses_hw)}; "
-                f"{', '.join(ignored)} run unchanged",
-                file=sys.stderr,
-            )
-
-    scenarios = None
-    if args.scenario or args.scenario_file:
-        try:
-            scenarios = resolve_scenarios(args.scenario, args.scenario_file)
-        except ScenarioError as err:
-            parser.error(str(err))
-
-    scale = _resolve_scale(args.scale)
-
-    ctx = RunContext(
-        scale=scale,
-        seed=args.seed,
-        workers=args.workers,
-        eval_cache=(
-            EvalCache(eval_cache_path(args.cache_dir))
-            if args.cache_dir is not None
-            else None
-        ),
-        scenarios=scenarios,
-        batch_size=args.batch_size,
-        ledger=RunLedger(args.ledger) if args.ledger is not None else None,
-        checkpoint_every=args.checkpoint_every,
-        hardware=args.hardware,
-        tensorize=args.tensorize,
-        surrogate=args.surrogate,
-        exact_fraction=(
-            args.exact_fraction if args.exact_fraction is not None else 0.25
-        ),
-        backend_name=args.backend,
-    )
-    names = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
+    ctx = _run_context(args, parser)
     reports = []
-    for name in names:
-        print(f"== {name} (scale={scale.name}) ==", file=sys.stderr)
+    for name in _selected(args):
+        print(f"== {name} (scale={ctx.scale.name}) ==", file=sys.stderr)
         reports.append(f"## {name}\n\n{EXPERIMENTS[name](ctx)}")
     if ctx.eval_cache is not None:
         ctx.eval_cache.flush()

@@ -54,7 +54,6 @@ __all__ = [
     "get_scenario",
     "get_scenario_builder",
     "list_scenarios",
-    "resolve_scenarios",
     "scenario_from_dict",
     "scenario_to_dict",
     "load_scenario_file",
@@ -194,30 +193,6 @@ def get_scenario_builder(name: str) -> ScenarioBuilder:
 def get_scenario(name: str, bounds: MetricBounds | None = None) -> RewardConfig:
     """Resolve a registered (or parametric) scenario name to a config."""
     return get_scenario_builder(name)(bounds)
-
-
-def resolve_scenarios(
-    names=None, scenario_file: str | Path | None = None
-) -> dict[str, ScenarioBuilder]:
-    """Scenario table for an experiment grid: name -> builder.
-
-    ``names`` selects registered/parametric scenarios;
-    ``scenario_file`` contributes every spec in a JSON file.  With
-    neither, the paper's three scenarios are returned.
-    """
-    out: dict[str, ScenarioBuilder] = {}
-    for name in names or ():
-        out[name] = get_scenario_builder(name)
-    if scenario_file is not None:
-        for name, builder in load_scenario_file(scenario_file).items():
-            if name in out:
-                raise ScenarioError(
-                    f"scenario {name!r} selected by name AND defined in "
-                    f"{scenario_file} — rename the file spec (a silent "
-                    "override would mislabel results)"
-                )
-            out[name] = builder
-    return out or dict(PAPER_SCENARIOS)
 
 
 for _name, _builder in PAPER_SCENARIOS.items():
@@ -371,12 +346,13 @@ def scenario_to_dict(config: RewardConfig) -> dict:
     }
 
 
-def load_scenario_file(path: str | Path) -> dict[str, ScenarioBuilder]:
-    """Load scenario builders from a JSON spec file.
+def load_scenario_file(path: str | Path) -> dict[str, dict]:
+    """Load declarative scenario specs from a JSON file: name -> spec.
 
-    The file holds one spec object or a list of them (see
-    :func:`scenario_from_dict`).  Returned builders accept the usual
-    optional ``bounds``, which fills any ranges the spec left out.
+    The file holds one spec object or a list of them; each is
+    validated by :func:`scenario_from_dict` and returned as written, so
+    ranges the spec leaves out are filled by whatever ``bounds`` it is
+    later built against (a study fills them from its space).
     """
     path = Path(path)
     try:
@@ -386,14 +362,10 @@ def load_scenario_file(path: str | Path) -> dict[str, ScenarioBuilder]:
     except json.JSONDecodeError as err:
         raise ScenarioError(f"scenario file {path} is not valid JSON: {err}") from None
     specs = payload if isinstance(payload, list) else [payload]
-    builders: dict[str, ScenarioBuilder] = {}
+    out: dict[str, dict] = {}
     for spec in specs:
-        config = scenario_from_dict(spec)  # validate eagerly, fail loudly
-        if config.name in builders:
-            raise ScenarioError(
-                f"scenario file {path} defines {config.name!r} twice"
-            )
-        builders[config.name] = (
-            lambda bounds=None, _spec=spec: scenario_from_dict(_spec, bounds)
-        )
-    return builders
+        name = scenario_from_dict(spec).name  # validate eagerly, fail loudly
+        if name in out:
+            raise ScenarioError(f"scenario file {path} defines {name!r} twice")
+        out[name] = spec
+    return out

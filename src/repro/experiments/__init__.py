@@ -16,9 +16,7 @@ from repro.experiments.fig7 import BaselinePoint, Fig7Result, best_accelerator_f
 from repro.experiments.presets import get_preset, list_presets, resolve_spec
 from repro.experiments.search_study import (
     SearchStudyResult,
-    legacy_study_spec,
     make_bundle_evaluator,
-    run_search_study,
     top_pareto_by_reward,
 )
 from repro.experiments.table1 import PAPER_TABLE1, Table1Result, run_table1
@@ -52,9 +50,7 @@ __all__ = [
     "list_presets",
     "resolve_spec",
     "SearchStudyResult",
-    "legacy_study_spec",
     "make_bundle_evaluator",
-    "run_search_study",
     "top_pareto_by_reward",
     "PAPER_TABLE1",
     "Table1Result",

@@ -16,8 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.study import run_study
 from repro.experiments.common import Scale, SpaceBundle
-from repro.experiments.search_study import SearchStudyResult, _run_search_study
+from repro.experiments.presets import get_preset
+from repro.experiments.search_study import SearchStudyResult
 from repro.utils.tables import format_markdown
 
 __all__ = ["Fig5Result", "run_fig5"]
@@ -114,35 +116,16 @@ def run_fig5(
     bundle: SpaceBundle | None = None,
     scale: Scale | None = None,
     study: SearchStudyResult | None = None,
-    master_seed: int = 0,
-    backend: str = "serial",
-    workers: int | None = None,
-    eval_cache=None,
-    scenarios: dict | list | None = None,
-    batch_size: int = 1,
 ) -> Fig5Result:
-    """Run (or reuse) the search study and package the Fig. 5 view.
+    """Package the Fig. 5 view of ``study``, or of a fresh ``fig5`` study.
 
-    ``backend`` / ``workers`` / ``eval_cache`` / ``batch_size`` pass
-    through to :func:`repro.experiments.search_study.run_search_study`
-    when the study is not supplied; they change speed, never results
-    (``batch_size`` > 1 switches to the documented per-strategy batch
-    semantics).  ``scenarios`` selects registry or file-loaded
-    scenarios instead of the paper's three.
-
-    The default study is the declarative ``fig5`` preset
-    (:mod:`repro.experiments.presets`) — ``repro study run fig5`` runs
-    the same grid from the command line.
+    Without a ``study`` this runs the declarative ``fig5`` preset
+    (:mod:`repro.experiments.presets`) on ``bundle`` at ``scale`` —
+    ``repro study run fig5`` runs the same grid from the command line.
+    Any other grid (scenarios, seed, batch size, backend) is a
+    :class:`~repro.core.study.StudySpec` run through
+    :func:`~repro.core.study.run_study`, then passed in as ``study``.
     """
-    study = study or _run_search_study(
-        bundle,
-        scale,
-        scenarios=scenarios,
-        master_seed=master_seed,
-        backend=backend,
-        workers=workers,
-        eval_cache=eval_cache,
-        batch_size=batch_size,
-        name="fig5",
-    )
+    if study is None:
+        study = run_study(get_preset("fig5"), bundle=bundle, scale=scale)
     return Fig5Result(study=study)

@@ -361,8 +361,8 @@ def run_grid(
     else the outcome depends on — scenario definitions, evaluator
     parameters — should be passed as ``ledger_context`` (a
     JSON-serializable dict) to be pinned alongside; see
-    :func:`repro.experiments.search_study.run_search_study`, which
-    pins its resolved scenario definitions this way.
+    :func:`repro.core.study.run_study`, which pins its spec and
+    resolved scenario definitions this way.
     """
     if num_repeats <= 0:
         raise ValueError("num_repeats must be positive")

@@ -19,7 +19,6 @@ from repro.core.scenarios import (
     make_scenario,
     one_constraint,
     register_scenario,
-    resolve_scenarios,
     scenario_from_dict,
     scenario_to_dict,
     two_constraints,
@@ -126,14 +125,6 @@ class TestRegistry:
             from repro.core import scenarios as S
             S._REGISTRY.pop(name, None)
 
-    def test_resolve_scenarios_defaults_to_paper(self):
-        assert set(resolve_scenarios()) == set(PAPER_SCENARIOS)
-
-    def test_resolve_scenarios_by_name(self):
-        table = resolve_scenarios(["unconstrained", "perf-area>=4"])
-        assert set(table) == {"unconstrained", "perf-area>=4"}
-        assert table["perf-area>=4"]().constraints.min_perf_per_area == 4.0
-
 
 class TestJsonRoundTrip:
     def test_every_registered_scenario_round_trips(self):
@@ -202,15 +193,16 @@ class TestScenarioFiles:
             {"name": "a", "weights": [1, 0, 0]},
             {"name": "b", "weights": [0, 1, 0], "constraints": {"max_latency_ms": 30}},
         ]))
-        table = resolve_scenarios(scenario_file=multi)
+        table = load_scenario_file(multi)
         assert set(table) == {"a", "b"}
-        assert table["b"]().constraints.max_latency_ms == 30.0
+        assert scenario_from_dict(table["b"]).constraints.max_latency_ms == 30.0
 
-    def test_file_builders_accept_bounds(self, tmp_path):
+    def test_file_specs_fill_bounds(self, tmp_path):
         path = tmp_path / "s.json"
         path.write_text(json.dumps({"name": "a", "weights": [1, 0, 0]}))
         bounds = MetricBounds(area_mm2=(1.0, 2.0))
-        assert load_scenario_file(path)["a"](bounds).bounds.area_mm2 == (1.0, 2.0)
+        spec = load_scenario_file(path)["a"]
+        assert scenario_from_dict(spec, bounds).bounds.area_mm2 == (1.0, 2.0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
@@ -230,12 +222,6 @@ class TestScenarioFiles:
         ]))
         with pytest.raises(ScenarioError, match="twice"):
             load_scenario_file(path)
-
-    def test_name_and_file_collision_rejected(self, tmp_path):
-        path = tmp_path / "clash.json"
-        path.write_text(json.dumps({"name": "unconstrained", "weights": [1, 0, 0]}))
-        with pytest.raises(ScenarioError, match="selected by name AND defined"):
-            resolve_scenarios(["unconstrained"], path)
 
 
 class TestNanMaskingProperty:

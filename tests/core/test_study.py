@@ -429,31 +429,83 @@ class TestBuildStudy:
         assert bumped.execution.num_steps == spec.execution.num_steps
 
 
-class TestLegacyShim:
-    def test_run_search_study_warns_and_matches_run_study(self, micro4_bundle):
-        from repro.experiments.search_study import run_search_study
+class TestSearchStudySpec:
+    """The ``search-study`` spec ``repro run fig5|fig6`` builds."""
 
-        with pytest.warns(DeprecationWarning, match="StudySpec"):
-            legacy = run_search_study(micro4_bundle, TINY, master_seed=2)
-        spec = StudySpec(
-            name="search-study",
-            strategies=(
-                {"name": "combined"}, {"name": "phase"}, {"name": "separate"},
-            ),
-            scenarios=("unconstrained", "1-constraint", "2-constraints"),
-            evaluator={"source": "database"},
-            execution={"master_seed": 2},
+    def test_named_scenario_matches_inlined(self, micro4_bundle):
+        from repro.core.scenarios import get_scenario, scenario_to_dict
+
+        named = replace_execution(get_preset("search-study"), master_seed=2)
+        inlined = named.with_overrides(
+            {
+                "scenarios": [
+                    scenario_to_dict(get_scenario(name, micro4_bundle.bounds))
+                    for name in named.scenarios
+                ]
+            }
         )
-        fresh = run_study(spec, bundle=micro4_bundle, scale=TINY)
-        for scenario in legacy.outcomes:
-            for strategy, outcome in legacy.outcomes[scenario].items():
-                for ours, theirs in zip(
-                    fresh.outcomes[scenario][strategy].results, outcome.results
-                ):
+        assert inlined.scenarios != named.scenarios
+        ours = run_study(named, bundle=micro4_bundle, scale=TINY)
+        theirs = run_study(inlined, bundle=micro4_bundle, scale=TINY)
+        assert list(ours.outcomes) == list(theirs.outcomes)
+        for scenario, by_strategy in ours.outcomes.items():
+            for strategy, outcome in by_strategy.items():
+                other = theirs.outcomes[scenario][strategy]
+                assert len(outcome.results) == len(other.results) == TINY.num_repeats
+                for a, b in zip(outcome.results, other.results):
                     assert np.array_equal(
-                        ours.reward_trace(), theirs.reward_trace(),
-                        equal_nan=True,
+                        a.reward_trace(), b.reward_trace(), equal_nan=True
                     )
+
+    def test_parent_cli_ledger_refused(self, micro4_bundle, tmp_path):
+        """A ledger the old keyword front end wrote is refused, never mixed.
+
+        ``repro run --ledger`` used to pin a spec built from keyword
+        arguments: each strategy as ``{"name": ..., "label": ...}``,
+        scenarios inlined as dicts and explicit steps/repeats.  The
+        ``search-study`` preset pins none of those, so resuming such a
+        ledger must raise before any repeat runs.
+        """
+        from repro.core.scenarios import scenario_to_dict
+        from repro.parallel.ledger import RunLedger
+
+        tiny = Scale(name="tiny", search_steps=4, num_repeats=1, fig7_target_scale=0.05)
+        spec = get_preset("search-study")
+        study = build_study(spec, bundle=micro4_bundle, scale=tiny)
+        scenarios = [scenario_to_dict(c) for c in study.scenario_configs.values()]
+
+        def pinned(study_spec):
+            return {
+                "num_steps": study.num_steps,
+                "num_repeats": study.num_repeats,
+                "master_seed": 0,
+                "batch_size": 1,
+                "labels": [job.label for job in study.jobs],
+                "context": {
+                    "study_spec": study_spec,
+                    "space": study.namespace,
+                    "scenarios": {s["name"]: s for s in scenarios},
+                },
+            }
+
+        parent_shaped = spec.to_dict()
+        parent_shaped["strategies"] = [
+            {**entry, "label": entry["name"]} for entry in parent_shaped["strategies"]
+        ]
+        parent_shaped["scenarios"] = scenarios
+        parent_shaped["execution"].update(
+            num_steps=tiny.search_steps, num_repeats=tiny.num_repeats
+        )
+        with RunLedger(tmp_path / "parent.ledger") as ledger:
+            ledger.begin_run(pinned(parent_shaped))
+            with pytest.raises(LedgerError):
+                run_study(spec, bundle=micro4_bundle, scale=tiny, ledger=ledger)
+            assert ledger.progress()["done"] == 0
+        # Control: the pin this run writes itself resumes.
+        with RunLedger(tmp_path / "current.ledger") as ledger:
+            ledger.begin_run(pinned(spec.to_dict()))
+            run_study(spec, bundle=micro4_bundle, scale=tiny, ledger=ledger)
+            assert ledger.progress()["done"] == len(study.jobs)
 
 
 class TestTensorizeSpec:

@@ -54,6 +54,89 @@ class TestStudyFlags:
         with pytest.raises(SystemExit):
             main(["run", "fig5", "--batch-size", "0"])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--surrogate", "--exact-fraction", "0"],
+            ["--workers", "0"],
+            ["--checkpoint-every", "0"],
+        ],
+    )
+    def test_invalid_execution_rejected_before_bundle_load(self, flags, monkeypatch):
+        def no_bundle(*args, **kwargs):
+            pytest.fail("the bundle loaded before the spec was validated")
+
+        monkeypatch.setattr("repro.cli.load_bundle", no_bundle)
+        monkeypatch.setattr("repro.experiments.common.load_bundle", no_bundle)
+        with pytest.raises(SystemExit):
+            main(["run", "fig5", *flags])
+
+    def test_scenario_name_and_file_collision_rejected(self, tmp_path, capsys):
+        path = tmp_path / "clash.json"
+        path.write_text(json.dumps({"name": "unconstrained", "weights": [1, 0, 0]}))
+        with pytest.raises(SystemExit):
+            main(["run", "fig5", "--scenario", "unconstrained",
+                  "--scenario-file", str(path)])
+        assert "referenced more than once" in capsys.readouterr().err
+
+
+SCENARIO_FILE = [
+    {"name": "edge", "weights": [0.2, 0.6, 0.2], "constraints": {"max_latency_ms": 80.0}},
+    {"name": "pinned", "weights": [0, 0, 1], "bounds": {"area_mm2": [1.0, 2.0]}},
+]
+
+
+class TestRunSpec:
+    """'repro run fig5 <flags>' runs 'study show search-study <overrides>'."""
+
+    @pytest.mark.parametrize(
+        "run_flags, study_flags",
+        [
+            ([], []),
+            (["--seed", "3"], ["--set", "execution.master_seed=3"]),
+            (["--batch-size", "8"], ["--set", "execution.batch_size=8"]),
+            (
+                ["--workers", "4"],
+                ["--set", "execution.workers=4", "--set", "execution.backend=process"],
+            ),
+            (
+                ["--workers", "4", "--backend", "serial"],
+                ["--set", "execution.workers=4", "--set", "execution.backend=serial"],
+            ),
+            (["--tensorize"], ["--tensorize"]),
+            (
+                ["--surrogate", "--exact-fraction", "0.5"],
+                ["--surrogate", "--exact-fraction", "0.5"],
+            ),
+            (
+                ["--scenario", "2-constraints", "--scenario", "perf-area>=16"],
+                ["--set", 'scenarios=["2-constraints", "perf-area>=16"]'],
+            ),
+            (
+                ["--scenario-file", "{file}"],
+                ["--set", f"scenarios={json.dumps(SCENARIO_FILE)}"],
+            ),
+            (["--hardware", "embedded-lite"], ["--hardware", "embedded-lite"]),
+            (["--checkpoint-every", "3"], ["--set", "execution.checkpoint_every=3"]),
+        ],
+    )
+    def test_run_flags_are_spec_overrides(
+        self, run_flags, study_flags, tmp_path, monkeypatch, capsys
+    ):
+        path = tmp_path / "scenarios.json"
+        path.write_text(json.dumps(SCENARIO_FILE))
+        contexts = []
+        monkeypatch.setitem(
+            EXPERIMENTS, "fig5", lambda ctx: contexts.append(ctx) or ""
+        )
+        run_flags = [str(path) if flag == "{file}" else flag for flag in run_flags]
+        assert main(["run", "fig5", *run_flags]) == 0
+        capsys.readouterr()
+        assert main(["study", "show", "search-study", *study_flags]) == 0
+        shown = json.loads(capsys.readouterr().out)
+        (ctx,) = contexts
+        assert ctx.spec.to_dict() == shown
+
 
 class TestStudyCommand:
     def test_list_names_every_preset(self, capsys):

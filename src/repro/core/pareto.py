@@ -148,6 +148,24 @@ class ProductParetoResult:
     latency_ms: np.ndarray        # (P,)
     area_mm2: np.ndarray          # (P,)
 
+    @classmethod
+    def from_indices(
+        cls,
+        cell_indices: np.ndarray,
+        config_indices: np.ndarray,
+        accuracy: np.ndarray,
+        area_mm2: np.ndarray,
+        latency_ms: np.ndarray,
+    ) -> "ProductParetoResult":
+        """The frontier at ``(cell_indices, config_indices)`` of a space."""
+        return cls(
+            cell_indices=cell_indices,
+            config_indices=config_indices,
+            accuracy=accuracy[cell_indices],
+            latency_ms=latency_ms[cell_indices, config_indices],
+            area_mm2=area_mm2[config_indices],
+        )
+
     @property
     def num_points(self) -> int:
         return len(self.cell_indices)
@@ -208,14 +226,8 @@ def product_space_pareto(
         [-area_mm2[cfgs], -latency_ms[cells, cfgs], accuracy[cells]]
     )
     mask = pareto_mask_3d(objectives)
-    cells = cells[mask]
-    cfgs = cfgs[mask]
-    return ProductParetoResult(
-        cell_indices=cells,
-        config_indices=cfgs,
-        accuracy=accuracy[cells],
-        latency_ms=latency_ms[cells, cfgs],
-        area_mm2=area_mm2[cfgs],
+    return ProductParetoResult.from_indices(
+        cells[mask], cfgs[mask], accuracy, area_mm2, latency_ms
     )
 
 

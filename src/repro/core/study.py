@@ -52,6 +52,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any
 
+from repro.core.pareto import reward_ranked_points
 from repro.core.reward import RewardConfig
 from repro.core.scenarios import (
     ScenarioError,
@@ -927,14 +928,6 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
         for hw in spec.hardware
     }
 
-    front = None
-    if bundle is not None:
-        from repro.core.pareto import product_space_pareto, reward_ranked_points
-
-        front = product_space_pareto(
-            bundle.accuracy, bundle.area_mm2, bundle.latency_ms
-        )
-
     pareto_top100: dict[str, list[dict]] = {}
     jobs: list[RepeatJob] = []
     job_meta: dict[str, tuple[str, str]] = {}
@@ -951,13 +944,13 @@ def build_study(spec: StudySpec, bundle=None, scale=None, store=None) -> Study:
             outcome_key = (
                 f"{hw_label}:{scenario_key}" if multi_platform else scenario_key
             )
-            if front is not None and platform_matches_bundle(
+            if bundle is not None and platform_matches_bundle(
                 platform, getattr(bundle, "platform", None)
             ):
                 # The bundle's metric arrays are only a valid Pareto
                 # reference for the platform that enumerated them.
                 pareto_top100[outcome_key] = reward_ranked_points(
-                    front, scenario, 100
+                    bundle.front, scenario, 100
                 )
             # One evaluator per (platform, scenario): its metric caches
             # are shared by every strategy's repeats through per-job

@@ -55,10 +55,9 @@ def top_pareto_by_reward(
     ranked by the experiment's reward function (infeasible Pareto
     points are excluded, as in the paper).
     """
-    from repro.core.pareto import product_space_pareto, reward_ranked_points
+    from repro.core.pareto import reward_ranked_points
 
-    front = product_space_pareto(bundle.accuracy, bundle.area_mm2, bundle.latency_ms)
-    return reward_ranked_points(front, scenario, k)
+    return reward_ranked_points(bundle.front, scenario, k)
 
 
 @dataclass

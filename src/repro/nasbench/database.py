@@ -142,15 +142,9 @@ class CellDatabase:
             if h in seen:
                 continue
             seen.add(h)
+            features = extract_features(spec)
             records.append(
-                CellRecord(
-                    spec=spec,
-                    spec_hash=h,
-                    features=extract_features(spec),
-                    validation_accuracy=surrogate.validation_accuracy(spec),
-                    test_accuracy=surrogate.test_accuracy(spec),
-                    training_seconds=surrogate.training_seconds(spec),
-                )
+                CellRecord(spec, h, features, *surrogate._stats(features, h))
             )
         return cls(records, surrogate)
 

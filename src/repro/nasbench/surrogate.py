@@ -72,6 +72,17 @@ class CellFeatures:
             dtype=np.float64,
         )
 
+    @classmethod
+    def from_vector(cls, vector: np.ndarray) -> "CellFeatures":
+        """Inverse of :meth:`as_vector` (exact: every field fits a float64)."""
+        v = [float(x) for x in vector]
+        return cls(
+            *(int(x) for x in v[:7]),
+            has_output_skip=bool(v[7]),
+            log10_params=v[8],
+            giga_macs=v[9],
+        )
+
 
 def extract_features(
     spec: ModelSpec, skeleton: SkeletonConfig = CIFAR10_SKELETON
@@ -149,17 +160,30 @@ class Cifar10Surrogate:
 
     def test_accuracy(self, spec: ModelSpec) -> float:
         """Test accuracy: validation minus a small deterministic gap."""
-        f = extract_features(spec)
-        gap = 0.35 + abs(self._noise(spec.spec_hash(), "gap")) * 0.5
-        raw = self._mean_accuracy(f) + self._noise(spec.spec_hash(), "val") - gap
-        return float(np.clip(raw, self.floor - 1.0, self.ceiling))
+        return self._stats(extract_features(spec), spec.spec_hash())[1]
 
     def training_seconds(self, spec: ModelSpec) -> float:
         """Simulated 108-epoch training wall-clock (single GPU)."""
-        f = extract_features(spec)
+        return self._stats(extract_features(spec), spec.spec_hash())[2]
+
+    def _stats(self, f: CellFeatures, spec_hash: str) -> tuple[float, float, float]:
+        """``(validation %, test %, training s)`` from precomputed inputs.
+
+        Featurizing compiles the cell's IR, so a caller that needs all
+        three statistics (a database build) pays for it once here
+        instead of once per public method.  Bit-identical to
+        :meth:`validation_accuracy`, :meth:`test_accuracy` and
+        :meth:`training_seconds`.
+        """
+        val_raw = self._mean_accuracy(f) + self._noise(spec_hash, "val")
+        gap = 0.35 + abs(self._noise(spec_hash, "gap")) * 0.5
         base = 550.0 + 900.0 * f.giga_macs
-        jitter = 1.0 + 0.05 * self._noise(spec.spec_hash(), "time") / max(self.noise_std, 1e-9)
-        return float(base * max(jitter, 0.5))
+        jitter = 1.0 + 0.05 * self._noise(spec_hash, "time") / max(self.noise_std, 1e-9)
+        return (
+            float(np.clip(val_raw, self.floor, self.ceiling)),
+            float(np.clip(val_raw - gap, self.floor - 1.0, self.ceiling)),
+            float(base * max(jitter, 0.5)),
+        )
 
     @lru_cache(maxsize=1 << 16)
     def _cached_val(self, matrix_bytes: bytes, shape: int, ops: tuple[str, ...]) -> float:

@@ -3,10 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.nasbench.known_cells import googlenet_cell, resnet_cell
+from repro.nasbench.known_cells import KNOWN_CELLS, googlenet_cell, resnet_cell
 from repro.nasbench.model_spec import ModelSpec
 from repro.nasbench.ops import CONV3X3, INPUT, MAXPOOL3X3, OUTPUT
-from repro.nasbench.surrogate import Cifar10Surrogate, extract_features
+from repro.nasbench.surrogate import CellFeatures, Cifar10Surrogate, extract_features
+
+#: (validation %, test %, training s) as float.hex, pinned from the
+#: per-method formulas before they were routed through one helper.
+PINNED_STATS = {
+    "cod1": ("0x1.76105858d2ecbp+6", "0x1.747f907c5d48ep+6", "0x1.74716dacdbf5cp+10"),
+    "cod2": ("0x1.720a142daac31p+6", "0x1.70436eb50eeb5p+6", "0x1.dee2828ef0093p+10"),
+    "googlenet": ("0x1.710b2465751bap+6", "0x1.6f55f7baa4de0p+6", "0x1.bb6d91e870b21p+9"),
+    "resnet": ("0x1.749260626fdf7p+6", "0x1.72731f01316b6p+6", "0x1.8a99c1a298fd5p+11"),
+}
 
 
 def chain_spec(*interior):
@@ -36,6 +45,15 @@ class TestFeatures:
 
     def test_vector_shape(self):
         assert extract_features(resnet_cell()).as_vector().shape == (10,)
+
+    @pytest.mark.parametrize("name", sorted(KNOWN_CELLS))
+    def test_vector_round_trip(self, name):
+        f = extract_features(KNOWN_CELLS[name]())
+        back = CellFeatures.from_vector(f.as_vector())
+        assert back == f
+        assert [type(v) for v in vars(back).values()] == [
+            type(v) for v in vars(f).values()
+        ]
 
 
 class TestAccuracy:
@@ -81,6 +99,19 @@ class TestAccuracy:
         s = Cifar10Surrogate()
         spec = googlenet_cell()
         assert s.validation_accuracy_cached(spec) == s.validation_accuracy(spec)
+
+    @pytest.mark.parametrize("name", sorted(PINNED_STATS))
+    def test_stats_bit_identical_to_pinned_formulas(self, name):
+        s = Cifar10Surrogate()
+        spec = KNOWN_CELLS[name]()
+        public = (
+            s.validation_accuracy(spec),
+            s.test_accuracy(spec),
+            s.training_seconds(spec),
+        )
+        shared = s._stats(extract_features(spec), spec.spec_hash())
+        assert [v.hex() for v in public] == list(PINNED_STATS[name])
+        assert [v.hex() for v in shared] == list(PINNED_STATS[name])
 
 
 class TestTrainingTime:
